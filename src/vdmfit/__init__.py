@@ -19,10 +19,7 @@ from .datasets import (  # noqa: F401
 from .fitter import FitOptions, FitOutcome, fit, initial_guesses  # noqa: F401
 from .gof import FitClass, FitResult, chi_square_statistic, classify, p_value, test_fit  # noqa: F401
 from .metrics import (  # noqa: F401
-    EntropySeries,
-    GofState,
     MetricSeries,
-    QualitySeries,
     TransitionKind,
     aggregate_entropy,
     aggregate_quality,

@@ -20,12 +20,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+
+from numpy.linalg import LinAlgError
 
 from . import __version__
 from .datasets import (
     Corpus,
-    CorpusError,
     DatasetKind,
     EmptyWindowError,
     ObservationSeries,
@@ -40,13 +41,14 @@ from .datasets import (
     select_dataset,
     write_series_csv,
 )
-from .fitter import FitOptions, InsufficientDataError, fit
+from .fitter import FitOptions, fit
 from .gof import FitClass, test_fit
 from .metrics import (
     DEFAULT_START_MSR,
     aggregate_entropy,
     aggregate_quality,
     rolling_gof,
+    states_from_results,
 )
 from .models import MODEL_IDS, spec
 from .simulate import NoiseKind, NoiseSpec, corpus_records_from_series, generate
@@ -184,7 +186,31 @@ def _read_csv_rows(path: str | Path) -> list[dict]:
         return list(reader)
 
 
-def _load_world(cfg: RunConfig) -> tuple[Corpus, list[Release], date, list[DatasetKind]]:
+def _parse_rows(
+    rows: Sequence[Mapping[str, object]],
+    source: str,
+    required: Sequence[str],
+    parse: Callable[[Mapping[str, object]], object],
+) -> list:
+    """``parse(row)`` for every row that has all ``required`` columns; a
+    missing column or a bad value is a ValueError naming the source and
+    the row (counted from 1 after the header)."""
+    parsed = []
+    for i, row in enumerate(rows, start=1):
+        try:
+            missing = [c for c in required if row.get(c) is None]
+            if missing:
+                raise ValueError(f"missing column(s) {', '.join(missing)}")
+            parsed.append(parse(row))
+        except ValueError as exc:
+            raise ValueError(f"{source}: row {i}: {exc}") from None
+    return parsed
+
+
+def _load_series(cfg: RunConfig) -> tuple[list[ObservationSeries], list[dict], dict]:
+    """Every (release, dataset kind) series of the configured world, in
+    (product, version, kind) order, plus the skipped pairs (logged) and
+    the output metadata."""
     if not cfg.corpus or not cfg.releases:
         raise ValueError("both --corpus and --releases are required for this command")
     corpus = import_corpus(cfg.corpus)
@@ -196,12 +222,7 @@ def _load_world(cfg: RunConfig) -> tuple[Corpus, list[Release], date, list[Datas
             raise ValueError("empty corpus and no --as-of given")
         as_of = max(r.published for r in corpus)
     kinds = [DatasetKind(d) for d in cfg.datasets]
-    return corpus, releases, as_of, kinds
 
-
-def _build_all_series(
-    corpus: Corpus, releases: Sequence[Release], kinds: Sequence[DatasetKind], as_of: date
-) -> tuple[list[ObservationSeries], list[dict]]:
     series_list: list[ObservationSeries] = []
     failures: list[dict] = []
     for release in sorted(releases, key=lambda r: (r.product, r.version)):
@@ -218,11 +239,18 @@ def _build_all_series(
                         "error": str(exc),
                     }
                 )
-    return series_list, failures
+    for failure in failures:
+        log.warning("skipping %(product)s %(version)s %(dataset)s: %(error)s", failure)
+    return series_list, failures, cfg.metadata() | {"as_of": as_of.isoformat()}
 
 
 def _param_csv(values: Sequence[float]) -> str:
     return ";".join(repr(v) for v in values)
+
+
+# what a fit raises on bad data (InsufficientDataError and DomainError are
+# ValueErrors); anything else is a bug and propagates
+_FIT_FAILURES = (ValueError, LinAlgError)
 
 
 def _fit_job(payload: tuple[ObservationSeries, str, FitOptions]):
@@ -230,7 +258,7 @@ def _fit_job(payload: tuple[ObservationSeries, str, FitOptions]):
     try:
         outcome = fit(series, model_id, options)
         return ("ok", outcome, test_fit(series, outcome))
-    except Exception as exc:  # per-triple failures never abort a sweep
+    except _FIT_FAILURES as exc:  # per-triple failures never abort a sweep
         return ("error", str(exc), None)
 
 
@@ -238,7 +266,7 @@ def _track_job(payload: tuple[ObservationSeries, str, int, FitOptions]):
     series, model_id, start_msr, options = payload
     try:
         return ("ok", rolling_gof(series, model_id, start_msr, options))
-    except Exception as exc:
+    except _FIT_FAILURES as exc:
         return ("error", str(exc))
 
 
@@ -249,31 +277,21 @@ def _run_jobs(func, payloads: Sequence, workers: int) -> list:
         return list(pool.map(func, payloads))
 
 
-FIT_FIELDS = (
-    "product",
-    "version",
-    "dataset",
-    "model",
-    "status",
-    "converged",
-    "sse",
-    "param_names",
-    "params",
-    "chi2",
-    "dof",
-    "p_value",
-    "classification",
-    "valid",
+# the columns that name a curve, first in every fits.csv and track.csv row
+_CURVE_COLUMNS = ("product", "version", "dataset", "model")
+FIT_FIELDS = _CURVE_COLUMNS + (
+    "status", "converged", "sse", "param_names", "params", "chi2", "dof", "p_value",
+    "classification", "valid",
 )
 
 
-def cmd_fit(cfg: RunConfig) -> int:
-    corpus, releases, as_of, kinds = _load_world(cfg)
-    options = cfg.fit_options()
-    series_list, failures = _build_all_series(corpus, releases, kinds, as_of)
-    for failure in failures:
-        log.warning("skipping %(product)s %(version)s %(dataset)s: %(error)s", failure)
+def _curve_row(series: ObservationSeries, model_id: str) -> dict:
+    return dict(zip(_CURVE_COLUMNS, series.key() + (model_id,)))
 
+
+def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
+    options = cfg.fit_options()
+    series_list, failures, meta = _load_series(cfg)
     payloads = [(s, m, options) for s in series_list for m in cfg.models]
     results = _run_jobs(_fit_job, payloads, cfg.workers)
 
@@ -282,13 +300,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         m: {c.value: 0 for c in FitClass} | {"errors": 0} for m in cfg.models
     }
     for (series, model_id, _), (status, a, b) in zip(payloads, results):
-        row = {
-            "product": series.product,
-            "version": series.version,
-            "dataset": series.dataset_kind.value,
-            "model": model_id,
-            "status": status,
-        }
+        row = _curve_row(series, model_id) | {"status": status}
         if status == "ok":
             outcome, result = a, b
             row.update(
@@ -312,7 +324,6 @@ def cmd_fit(cfg: RunConfig) -> int:
     rows.sort(key=lambda r: (r["product"], r["version"], r["dataset"], r["model"]))
 
     out = _out_dir(cfg)
-    meta = cfg.metadata() | {"as_of": as_of.isoformat()}
     _write_csv(out / "fits.csv", FIT_FIELDS, rows, meta)
     _write_json(
         out / "fit_summary.json",
@@ -322,43 +333,22 @@ def cmd_fit(cfg: RunConfig) -> int:
     return 0
 
 
-TRACK_FIELDS = (
-    "product",
-    "version",
-    "dataset",
-    "model",
-    "msr",
-    "status",
-    "classification",
-    "p_value",
-    "chi2",
-    "valid",
-)
+TRACK_FIELDS = _CURVE_COLUMNS + ("msr", "status", "classification", "p_value", "chi2", "valid")
 
 
 def _track_rows(cfg: RunConfig) -> tuple[list[dict], dict]:
-    corpus, releases, as_of, kinds = _load_world(cfg)
     options = cfg.fit_options()
-    series_list, failures = _build_all_series(corpus, releases, kinds, as_of)
-    for failure in failures:
-        log.warning("skipping %(product)s %(version)s %(dataset)s: %(error)s", failure)
-
+    series_list, _, meta = _load_series(cfg)
     payloads = [(s, m, cfg.start_msr, options) for s in series_list for m in cfg.models]
     results = _run_jobs(_track_job, payloads, cfg.workers)
 
     rows = []
     for (series, model_id, _, _), outcome in zip(payloads, results):
-        base = {
-            "product": series.product,
-            "version": series.version,
-            "dataset": series.dataset_kind.value,
-            "model": model_id,
-        }
         if outcome[0] == "error":
             log.warning("track failed for %s %s: %s", series.key(), model_id, outcome[1])
             continue
         for msr, result in outcome[1]:
-            row = dict(base, msr=msr)
+            row = _curve_row(series, model_id) | {"msr": msr}
             if result is None:
                 row.update(status="error", classification="", p_value="", chi2="", valid="")
             else:
@@ -371,34 +361,58 @@ def _track_rows(cfg: RunConfig) -> tuple[list[dict], dict]:
                 )
             rows.append(row)
     rows.sort(key=lambda r: (r["product"], r["version"], r["dataset"], r["model"], r["msr"]))
-    meta = cfg.metadata() | {"as_of": as_of.isoformat()}
     return rows, meta
 
 
-def cmd_track(cfg: RunConfig) -> int:
+def cmd_track(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows, meta = _track_rows(cfg)
     out = _out_dir(cfg)
     _write_csv(out / "track.csv", TRACK_FIELDS, rows, meta)
     return 0
 
 
-_CLASS_BY_NAME = {c.value: c for c in FitClass}
+# the part of a FitResult that a track row keeps
+_RowOutcome = NamedTuple("_RowOutcome", [("classification", FitClass), ("valid", bool)])
+
+
+def _parse_valid(value: object) -> bool:
+    if isinstance(value, bool):
+        return value
+    if value not in ("True", "False"):
+        raise ValueError(f"valid must be True or False, got {value!r}")
+    return value == "True"
+
+
+_STATE_COLUMNS = _CURVE_COLUMNS + ("msr", "status", "classification", "valid")
+
+
+def _track_state(row: Mapping[str, object]) -> tuple[tuple[str, ...], int, _RowOutcome | None]:
+    """(curve key, msr, outcome) of one track row; error months have no
+    outcome."""
+    status = row["status"]
+    if status not in ("ok", "error"):
+        raise ValueError(f"status must be ok or error, got {status!r}")
+    outcome = None
+    if status == "ok":
+        outcome = _RowOutcome(FitClass(row["classification"]), _parse_valid(row["valid"]))
+    curve = tuple(str(row[c]) for c in _CURVE_COLUMNS)
+    return curve, int(row["msr"]), outcome
 
 
 def _state_matrices(
-    rows: Sequence[Mapping[str, object]], group_by: str
+    rows: Sequence[Mapping[str, object]], group_by: str, source: str
 ) -> dict[str, dict[str, dict[int, FitClass]]]:
-    """group -> curve -> msr -> state; invalid tests map to NotFit and
-    error months are skipped."""
+    """group -> curve -> msr -> state, each curve's states from
+    ``metrics.states_from_results``; curves without a state are left out."""
+    by_curve: dict[tuple[str, ...], list] = {}
+    for curve, msr, outcome in _parse_rows(rows, source, _STATE_COLUMNS, _track_state):
+        by_curve.setdefault(curve, []).append((msr, outcome))
+    group_index = _CURVE_COLUMNS.index(group_by)
     groups: dict[str, dict[str, dict[int, FitClass]]] = {}
-    for row in rows:
-        if row["status"] != "ok":
-            continue
-        group = str(row["dataset"] if group_by == "dataset" else row["model"])
-        curve = f'{row["product"]}|{row["version"]}|{row["dataset"]}|{row["model"]}'
-        valid = str(row["valid"]) == "True"
-        state = _CLASS_BY_NAME[str(row["classification"])] if valid else FitClass.NOT_FIT
-        groups.setdefault(group, {}).setdefault(curve, {})[int(row["msr"])] = state
+    for curve, results in by_curve.items():
+        states = states_from_results(results)
+        if states:
+            groups.setdefault(curve[group_index], {})["|".join(curve)] = states
     return groups
 
 
@@ -413,22 +427,24 @@ def _fmt_weight(w: float) -> str:
 
 
 def _cmd_metric(cfg: RunConfig, args: argparse.Namespace, which: str) -> int:
-    if getattr(args, "track", None):
+    # built per call, so the aggregate functions resolve at call time
+    default_group_by, weight_name, aggregate = {
+        "entropy": ("dataset", "beta", aggregate_entropy),
+        "quality": ("model", "omega", aggregate_quality),
+    }[which]
+    if args.track:
         rows = _read_csv_rows(args.track)
         meta = cfg.metadata()
     else:
         rows, meta = _track_rows(cfg)
-    group_by = args.group_by or ("dataset" if which == "entropy" else "model")
-    matrices = _state_matrices(rows, group_by)
+    group_by = args.group_by or default_group_by
+    matrices = _state_matrices(rows, group_by, args.track or "track rows")
     if not matrices:
         raise ValueError("no usable state sequences (is the track data empty?)")
 
     out = _out_dir(cfg)
-    weights = cfg.beta if which == "entropy" else cfg.omega
-    aggregate = aggregate_entropy if which == "entropy" else aggregate_quality
-    weight_name = "beta" if which == "entropy" else "omega"
     summary: dict[str, dict] = {}
-    for w in weights:
+    for w in getattr(cfg, weight_name):
         csv_rows: list[dict] = []
         for group in sorted(matrices):
             try:
@@ -464,11 +480,15 @@ def cmd_quality(cfg: RunConfig, args: argparse.Namespace) -> int:
     return _cmd_metric(cfg, args, "quality")
 
 
+def _metric_point(row: Mapping[str, object]) -> tuple[str, float]:
+    return str(row["group"]), float(row["value"])
+
+
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows = _read_csv_rows(args.series)
     groups: dict[str, list[float]] = {}
-    for row in rows:
-        groups.setdefault(str(row["group"]), []).append(float(row["value"]))
+    for group, value in _parse_rows(rows, args.series, ("group", "value"), _metric_point):
+        groups.setdefault(group, []).append(value)
     names = sorted(groups)
     if len(names) < 2:
         raise ValueError(f"need at least two groups to compare, found {names}")
@@ -620,16 +640,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("import", help="validate and normalize a corpus")
     _add_shared_flags(p)
+    p.set_defaults(run=cmd_import)
 
     p = sub.add_parser("fit", help="fit every (release x dataset x model) triple")
     _add_shared_flags(p)
+    p.set_defaults(run=cmd_fit)
 
     p = sub.add_parser("track", help="rolling goodness-of-fit per month")
     _add_shared_flags(p)
+    p.set_defaults(run=cmd_track)
 
-    for name in ("entropy", "quality"):
+    for name, run in (("entropy", cmd_entropy), ("quality", cmd_quality)):
         p = sub.add_parser(name, help=f"{name} series and medians from rolling states")
         _add_shared_flags(p)
+        p.set_defaults(run=run)
         p.add_argument("--track", help="track.csv from a previous run (default: recompute)")
         p.add_argument(
             "--group-by",
@@ -640,6 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="rank tests across metric-series groups")
     _add_shared_flags(p)
+    p.set_defaults(run=cmd_compare)
     p.add_argument("--series", required=True, help="metric CSV with group,msr,value rows")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument(
@@ -649,6 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic series or corpus")
     _add_shared_flags(p)
+    p.set_defaults(run=cmd_simulate)
     p.add_argument("--model", required=True, choices=MODEL_IDS)
     p.add_argument("--params", required=True, help="comma list of parameter values")
     p.add_argument("--horizon", type=int, required=True)
@@ -668,26 +694,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = build_config(args)
-        if args.command == "import":
-            return cmd_import(cfg, args)
-        if args.command == "fit":
-            return cmd_fit(cfg)
-        if args.command == "track":
-            return cmd_track(cfg)
-        if args.command == "entropy":
-            return cmd_entropy(cfg, args)
-        if args.command == "quality":
-            return cmd_quality(cfg, args)
-        if args.command == "compare":
-            return cmd_compare(cfg, args)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args)
-        parser.error(f"unknown command {args.command!r}")
-    except (CorpusError, InsufficientDataError, ValueError, OSError) as exc:
+        return args.run(build_config(args), args)
+    # bad input: CorpusError, InsufficientDataError and DomainError are ValueErrors
+    except (ValueError, OSError) as exc:
         log.error("%s", exc)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -105,9 +105,6 @@ class Release:
     # opt-in corpus-specific rule: count bugs from advisories that carry
     # no nvd links at all (the Firefox 1.0 situation)
     include_unlinked_advisory_bugs: bool = False
-    # reserved for bug-fix-mining style attribution cutoffs; no selector
-    # applies it by default
-    cutoff: date | None = None
 
 
 @dataclass(frozen=True)
@@ -407,7 +404,6 @@ def import_releases(path: Union[str, Path]) -> list[Release]:
     releases = []
     for i, obj in enumerate(raw):
         try:
-            cutoff = obj.get("cutoff")
             releases.append(
                 Release(
                     product=obj["product"],
@@ -416,7 +412,6 @@ def import_releases(path: Union[str, Path]) -> list[Release]:
                     include_unlinked_advisory_bugs=bool(
                         obj.get("include_unlinked_advisory_bugs", False)
                     ),
-                    cutoff=date.fromisoformat(cutoff) if cutoff else None,
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -431,17 +426,15 @@ def import_releases(path: Union[str, Path]) -> list[Release]:
 
 
 def export_releases(releases: Sequence[Release], path: Union[str, Path]) -> None:
-    payload = []
-    for r in releases:
-        entry = {
+    payload = [
+        {
             "product": r.product,
             "version": r.version,
             "release_date": r.release_date.isoformat(),
             "include_unlinked_advisory_bugs": r.include_unlinked_advisory_bugs,
         }
-        if r.cutoff is not None:
-            entry["cutoff"] = r.cutoff.isoformat()
-        payload.append(entry)
+        for r in releases
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -77,18 +77,25 @@ def _series_arrays(series: ObservationSeries) -> tuple[np.ndarray, np.ndarray]:
     return t, y
 
 
+def _residuals(
+    model_id: str, x: Sequence[float], t: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray | None, float]:
+    """Residuals and SSE at x; (None, inf) when the curve is not evaluable
+    there."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = y - models.evaluate(model_id, x, t)
+            return r, float(r @ r)
+    except DomainError:
+        return None, float("inf")
+
+
 def sum_squared_error(
     series: ObservationSeries, model_id: str, values: Sequence[float]
 ) -> float:
     """SSE of the model curve against the series, inf when the curve is
     not evaluable at these parameters."""
-    t, y = _series_arrays(series)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = y - models.evaluate(model_id, values, t)
-            return float(r @ r)
-    except DomainError:
-        return float("inf")
+    return _residuals(model_id, values, *_series_arrays(series))[1]
 
 
 def _domain_arrays(model_id: str) -> tuple[np.ndarray, np.ndarray]:
@@ -99,20 +106,6 @@ def _domain_arrays(model_id: str) -> tuple[np.ndarray, np.ndarray]:
     lo = np.where(np.isfinite(lo), lo + _BOUND_EPS, lo)
     hi = np.where(np.isfinite(hi), hi - _BOUND_EPS, hi)
     return lo, hi
-
-
-def _closed_form_seed(model_id: str, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # linear least squares on the model's own basis functions
-    if model_id == "LN":
-        design = np.column_stack([t, np.ones_like(t)])
-    elif model_id == "RQ":
-        design = np.column_stack([t * t / 2.0, t])
-    elif model_id == "AT":
-        design = np.column_stack([np.log(t), np.ones_like(t)])
-    else:
-        raise ValueError(f"no closed-form seed for {model_id}")
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return coef
 
 
 def _spread(center: float, grid_size: int) -> list[float]:
@@ -135,22 +128,22 @@ def initial_guesses(
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
+    mspec = models.spec(model_id)
     t, y = _series_arrays(series)
-    ymax = max(float(y.max()), 1.0)
 
-    asym = [float(v) for v in np.linspace(ymax, 3.0 * ymax, grid_size)]
-    rate = [float(v) for v in np.logspace(-3.0, 0.0, grid_size)]
-
-    if model_id == "AML":
-        level = [float(v) for v in np.logspace(-2.0, 1.0, grid_size)]
-        axes = [rate, asym, level]
-    elif model_id == "RE":
-        axes = [asym, rate]
-    elif model_id == "LP":
-        axes = [asym, rate]
-    else:
-        seed = _closed_form_seed(model_id, t, y)
+    if mspec.launch == models.LINEAR:
+        # the Jacobian of a linear family is its basis, whatever the parameters
+        design = mspec.jacobian(np.zeros(mspec.param_count), t)
+        seed, *_ = np.linalg.lstsq(design, y, rcond=None)
         axes = [_spread(c, grid_size) for c in seed]
+    else:
+        ymax = max(float(y.max()), 1.0)
+        grids = {
+            "asym": np.linspace(ymax, 3.0 * ymax, grid_size),
+            "rate": np.logspace(-3.0, 0.0, grid_size),
+            "level": np.logspace(-2.0, 1.0, grid_size),
+        }
+        axes = [[float(v) for v in grids[name]] for name in mspec.launch]
 
     return [tuple(combo) for combo in itertools.product(*axes)]
 
@@ -165,12 +158,9 @@ def _levenberg_marquardt(
     options: FitOptions,
 ) -> tuple[np.ndarray, float, bool, int]:
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = y - models.evaluate(model_id, x, t)
-            sse = float(r @ r)
-    except DomainError:
-        return x, float("inf"), False, 0
+    r, sse = _residuals(model_id, x, t, y)
+    if r is None:
+        return x, sse, False, 0
     damping = options.damping_init
     eye = np.eye(x.size)
     converged = sse == 0.0
@@ -190,13 +180,7 @@ def _levenberg_marquardt(
                 damping *= options.damping_factor
                 continue
             candidate = np.clip(x + step, lo, hi)
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    r_new = y - models.evaluate(model_id, candidate, t)
-                    sse_new = float(r_new @ r_new)
-            except DomainError:
-                damping *= options.damping_factor
-                continue
+            r_new, sse_new = _residuals(model_id, candidate, t, y)
             if np.isfinite(sse_new) and sse_new <= sse:
                 accepted = True
                 break

@@ -29,10 +29,7 @@ from .gof import FitClass, FitResult, test_fit
 __all__ = [
     "DEFAULT_START_MSR",
     "EmptyStepError",
-    "EntropySeries",
-    "GofState",
     "MetricSeries",
-    "QualitySeries",
     "TransitionKind",
     "aggregate_entropy",
     "aggregate_quality",
@@ -47,8 +44,6 @@ __all__ = [
 # observation starts at the sixth month after release
 DEFAULT_START_MSR = 6
 
-GofState = FitClass
-
 
 class TransitionKind(Enum):
     UNCHANGED = "unchanged"
@@ -60,7 +55,7 @@ class EmptyStepError(ValueError):
     """No transitions (or no states) available at an observation step."""
 
 
-def classify_transition(prev: GofState, new: GofState) -> TransitionKind:
+def classify_transition(prev: FitClass, new: FitClass) -> TransitionKind:
     if prev is new:
         return TransitionKind.UNCHANGED
     if {prev, new} == {FitClass.GOOD_FIT, FitClass.NOT_FIT}:
@@ -135,10 +130,6 @@ class MetricSeries:
         return tuple(v for _, v in self.points)
 
 
-EntropySeries = MetricSeries
-QualitySeries = MetricSeries
-
-
 def _series_with_medians(group: str, points: list[tuple[int, float]]) -> MetricSeries:
     if not points:
         raise EmptyStepError(f"group {group!r} produced no metric points")
@@ -155,7 +146,7 @@ def _series_with_medians(group: str, points: list[tuple[int, float]]) -> MetricS
     )
 
 
-StateMatrix = Mapping[str, Mapping[int, GofState]]
+StateMatrix = Mapping[str, Mapping[int, FitClass]]
 
 
 def _columns(per_curve_states: StateMatrix) -> list[int]:
@@ -230,10 +221,11 @@ def rolling_gof(
 
 def states_from_results(
     results: Iterable[tuple[int, FitResult | None]]
-) -> dict[int, GofState]:
+) -> dict[int, FitClass]:
     """State sequence for the transition model: invalid tests count as
-    NotFit, months without a result are absent."""
-    states: dict[int, GofState] = {}
+    NotFit, months without a result are absent. Only the results'
+    ``classification`` and ``valid`` fields are read."""
+    states: dict[int, FitClass] = {}
     for m, res in results:
         if res is None:
             continue

@@ -15,17 +15,23 @@ expected cumulative vulnerability count:
 Everything here is a pure function of (model id, parameter values, t);
 parameter sign constraints live in ``default_domain`` and are enforced by
 the fitter, not by ``evaluate``.
+
+Each family is one row of the ``MODELS`` table: its parameter names, its
+fitting box, its curve and Jacobian kernels and its multistart launch
+rule. Adding a family means adding one row; ``evaluate``, ``gradient``,
+``default_domain``, ``ParamVector`` and the fitter all read the row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 __all__ = [
+    "LINEAR",
     "MODEL_IDS",
     "MODELS",
     "DomainError",
@@ -39,28 +45,6 @@ __all__ = [
     "spec",
 ]
 
-MODEL_IDS = ("AML", "AT", "LN", "LP", "RE", "RQ")
-
-_PARAM_NAMES = {
-    "AML": ("A", "B", "C"),
-    "AT": ("k", "C"),
-    "LN": ("A", "B"),
-    "LP": ("beta0", "beta1"),
-    "RE": ("N", "lambda"),
-    "RQ": ("A", "B"),
-}
-
-_INF = math.inf
-
-_DOMAINS = {
-    "AML": ((0.0, _INF), (0.0, _INF), (0.0, _INF)),
-    "AT": ((-_INF, _INF), (-_INF, _INF)),
-    "LN": ((-_INF, _INF), (-_INF, _INF)),
-    "LP": ((0.0, _INF), (0.0, _INF)),
-    "RE": ((0.0, _INF), (0.0, _INF)),
-    "RQ": ((-_INF, _INF), (-_INF, _INF)),
-}
-
 
 class UnknownModelError(ValueError):
     """Model id is not one of the six family ids."""
@@ -72,19 +56,103 @@ class DomainError(ValueError):
     denominator non-positive)."""
 
 
+# launch rule of the families that are linear in their parameters: the
+# multistart grid is centred on the least-squares coefficients
+LINEAR = "linear"
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """Identity card of one curve family."""
+    """Identity card of one curve family.
+
+    ``curve`` and ``jacobian`` are unchecked kernels of (params, t array):
+    they raise DomainError for the parameter combinations a family cannot
+    evaluate, but leave shape and finiteness checks to ``evaluate`` and
+    ``gradient``. ``launch`` is either LINEAR or one multistart axis name
+    per parameter ("rate", "asym" or "level", see
+    ``fitter.initial_guesses``).
+    """
 
     id: str
     param_names: tuple[str, ...]
+    domain: tuple[tuple[float, float], ...]
+    launch: str | tuple[str, ...]
+    curve: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     @property
     def param_count(self) -> int:
         return len(self.param_names)
 
 
-MODELS = {mid: ModelSpec(mid, _PARAM_NAMES[mid]) for mid in MODEL_IDS}
+def _columns(*cols) -> np.ndarray:
+    return np.stack(np.broadcast_arrays(*cols), axis=-1)
+
+
+def _aml_terms(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-A*B*t) and the denominator B*C*exp(-A*B*t)+1."""
+    a, b, c = p
+    e = np.exp(-a * b * t)
+    denom = b * c * e + 1.0
+    if np.any(denom <= 0.0):
+        raise DomainError(f"AML denominator B*C*exp(-A*B*t)+1 <= 0 for params {p.tolist()}")
+    return e, denom
+
+
+def _aml_jacobian(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    a, b, c = p
+    e, denom = _aml_terms(p, t)
+    d2 = denom * denom
+    return _columns(
+        b * b * b * c * t * e / d2,
+        (denom - b * c * e * (1.0 - a * b * t)) / d2,
+        -b * b * e / d2,
+    )
+
+
+def _lp_arg(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    arg = 1.0 + p[1] * t
+    if np.any(arg <= 0.0):
+        raise DomainError(f"LP log argument 1+beta1*t <= 0 for params {p.tolist()}")
+    return arg
+
+
+def _lp_jacobian(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    arg = _lp_arg(p, t)
+    return _columns(np.log(arg), p[0] * t / arg)
+
+
+_POS = (0.0, math.inf)
+_FREE = (-math.inf, math.inf)
+
+# AML, LP and RE parameters are strictly positive (asymptote/rate
+# readings only make sense there); AT, LN and RQ are unconstrained
+MODELS = {
+    s.id: s
+    for s in (
+        ModelSpec("AML", ("A", "B", "C"), (_POS, _POS, _POS), ("rate", "asym", "level"),
+                  curve=lambda p, t: p[1] / _aml_terms(p, t)[1],
+                  jacobian=_aml_jacobian),
+        ModelSpec("AT", ("k", "C"), (_FREE, _FREE), LINEAR,
+                  curve=lambda p, t: p[0] * np.log(t) + p[1],
+                  jacobian=lambda p, t: _columns(np.log(t), np.ones_like(t))),
+        ModelSpec("LN", ("A", "B"), (_FREE, _FREE), LINEAR,
+                  curve=lambda p, t: p[0] * t + p[1],
+                  jacobian=lambda p, t: _columns(t, np.ones_like(t))),
+        ModelSpec("LP", ("beta0", "beta1"), (_POS, _POS), ("asym", "rate"),
+                  curve=lambda p, t: p[0] * np.log(_lp_arg(p, t)),
+                  jacobian=_lp_jacobian),
+        ModelSpec("RE", ("N", "lambda"), (_POS, _POS), ("asym", "rate"),
+                  curve=lambda p, t: p[0] * -np.expm1(-p[1] * t),
+                  jacobian=lambda p, t: _columns(-np.expm1(-p[1] * t),
+                                                 p[0] * t * np.exp(-p[1] * t))),
+        ModelSpec("RQ", ("A", "B"), (_FREE, _FREE), LINEAR,
+                  curve=lambda p, t: p[0] * t * t / 2.0 + p[1] * t,
+                  jacobian=lambda p, t: _columns(t * t / 2.0, t)),
+    )
+}
+
+MODEL_IDS = tuple(MODELS)
 
 
 def spec(model_id: str) -> ModelSpec:
@@ -123,7 +191,9 @@ class ParamVector:
 Number = Union[float, np.ndarray]
 
 
-def _check_params(model_id: str, params: Sequence[float]) -> np.ndarray:
+def _checked(
+    model_id: str, params: Sequence[float], t: Number
+) -> tuple[ModelSpec, np.ndarray, np.ndarray, bool]:
     s = spec(model_id)
     p = np.asarray(params, dtype=float)
     if p.shape != (s.param_count,):
@@ -132,15 +202,10 @@ def _check_params(model_id: str, params: Sequence[float]) -> np.ndarray:
         )
     if not np.all(np.isfinite(p)):
         raise ValueError(f"non-finite parameter values {p.tolist()}")
-    return p
-
-
-def _check_t(t: Number) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+    tt = np.asarray(t, dtype=float)
+    if np.any(tt <= 0.0) or not np.all(np.isfinite(tt)):
         raise DomainError(f"t must be finite and > 0, got {t!r}")
-    return arr, scalar
+    return s, p, tt, tt.ndim == 0
 
 
 def evaluate(model_id: str, params: Sequence[float], t: Number) -> Number:
@@ -149,34 +214,8 @@ def evaluate(model_id: str, params: Sequence[float], t: Number) -> Number:
     Accepts a scalar or array t; scalar in, float out. Pure and
     deterministic: identical inputs give bitwise-identical outputs.
     """
-    p = _check_params(model_id, params)
-    tt, scalar = _check_t(t)
-
-    if model_id == "AML":
-        a, b, c = p
-        denom = b * c * np.exp(-a * b * tt) + 1.0
-        if np.any(denom <= 0.0):
-            raise DomainError(f"AML denominator B*C*exp(-A*B*t)+1 <= 0 for params {p.tolist()}")
-        out = b / denom
-    elif model_id == "AT":
-        k, c = p
-        out = k * np.log(tt) + c
-    elif model_id == "LN":
-        a, b = p
-        out = a * tt + b
-    elif model_id == "LP":
-        b0, b1 = p
-        arg = 1.0 + b1 * tt
-        if np.any(arg <= 0.0):
-            raise DomainError(f"LP log argument 1+beta1*t <= 0 for params {p.tolist()}")
-        out = b0 * np.log(arg)
-    elif model_id == "RE":
-        n, lam = p
-        out = n * -np.expm1(-lam * tt)
-    else:  # RQ
-        a, b = p
-        out = a * tt * tt / 2.0 + b * tt
-
+    s, p, tt, scalar = _checked(model_id, params, t)
+    out = s.curve(p, tt)
     return float(out) if scalar else out
 
 
@@ -186,48 +225,10 @@ def gradient(model_id: str, params: Sequence[float], t: Number) -> np.ndarray:
     Returns shape (param_count,) for scalar t, (len(t), param_count) for
     array t, in ``param_names`` order.
     """
-    p = _check_params(model_id, params)
-    tt, scalar = _check_t(t)
-
-    if model_id == "AML":
-        a, b, c = p
-        e = np.exp(-a * b * tt)
-        denom = b * c * e + 1.0
-        if np.any(denom <= 0.0):
-            raise DomainError(f"AML denominator B*C*exp(-A*B*t)+1 <= 0 for params {p.tolist()}")
-        d2 = denom * denom
-        cols = (
-            b * b * b * c * tt * e / d2,
-            (denom - b * c * e * (1.0 - a * b * tt)) / d2,
-            -b * b * e / d2,
-        )
-    elif model_id == "AT":
-        logt = np.log(tt)
-        cols = (logt, np.ones_like(tt))
-    elif model_id == "LN":
-        cols = (tt, np.ones_like(tt))
-    elif model_id == "LP":
-        b0, b1 = p
-        arg = 1.0 + b1 * tt
-        if np.any(arg <= 0.0):
-            raise DomainError(f"LP log argument 1+beta1*t <= 0 for params {p.tolist()}")
-        cols = (np.log(arg), b0 * tt / arg)
-    elif model_id == "RE":
-        n, lam = p
-        decay = np.exp(-lam * tt)
-        cols = (-np.expm1(-lam * tt), n * tt * decay)
-    else:  # RQ
-        cols = (tt * tt / 2.0, tt)
-
-    jac = np.stack(np.broadcast_arrays(*cols), axis=-1)
-    return jac
+    s, p, tt, _ = _checked(model_id, params, t)
+    return s.jacobian(p, tt)
 
 
 def default_domain(model_id: str) -> tuple[tuple[float, float], ...]:
-    """Per-parameter (lower, upper) fitting box.
-
-    AML, LP and RE parameters are strictly positive (asymptote/rate
-    readings only make sense there); AT, LN and RQ are unconstrained.
-    """
-    spec(model_id)
-    return _DOMAINS[model_id]
+    """Per-parameter (lower, upper) fitting box."""
+    return spec(model_id).domain

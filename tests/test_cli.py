@@ -368,7 +368,7 @@ def test_config_file_with_flag_override(world, tmp_path):
     assert {r["model"] for r in rows} == {"AT"}
 
 
-def test_errors_exit_nonzero(tmp_path):
+def test_errors_exit_nonzero(tmp_path, caplog):
     assert run_cli("fit", "--corpus", tmp_path / "missing.ndjson",
                    "--releases", tmp_path / "missing.json", "--out", tmp_path) == 1
     bad = tmp_path / "bad.ndjson"
@@ -379,6 +379,22 @@ def test_errors_exit_nonzero(tmp_path):
     # out-of-range metric weights are rejected up front
     assert run_cli("entropy", "--track", bad, "--beta", "0.5", "--out", tmp_path) == 1
     assert run_cli("quality", "--track", bad, "--omega", "0.9", "--out", tmp_path) == 1
+    # malformed track and metric files are errors naming the file and row,
+    # not tracebacks or silently different metrics
+    header = "product,version,dataset,model,msr,status,classification,p_value,chi2,valid\n"
+    bogus = tmp_path / "bogus_track.csv"
+    bogus.write_text(header + "p,1,NVD,LN,6,ok,GoodFit,0.99,1.0,True\n"
+                     "p,1,NVD,LN,7,ok,Bogus,0.99,1.0,True\n")
+    assert run_cli("entropy", "--track", bogus, "--out", tmp_path) == 1
+    assert f"{bogus}: row 2:" in caplog.text
+    lower = tmp_path / "lower_track.csv"
+    lower.write_text(header + "".join(f"p,1,NVD,LN,{m},ok,GoodFit,0.99,1.0,true\n" for m in (6, 7)))
+    assert run_cli("quality", "--track", lower, "--out", tmp_path) == 1
+    assert f"{lower}: row 1: valid must be True or False" in caplog.text
+    no_value = tmp_path / "no_value.csv"
+    no_value.write_text("group,msr\na,7\nb,7\n")
+    assert run_cli("compare", "--series", no_value, "--out", tmp_path) == 1
+    assert f"{no_value}: row 1: missing column(s) value" in caplog.text
 
 
 def test_per_triple_failures_recorded_without_aborting(world, tmp_path):

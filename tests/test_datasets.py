@@ -422,7 +422,7 @@ def test_releases_round_trip_with_optional_fields(tmp_path):
     from vdmfit.datasets import export_releases, import_releases
 
     releases = [
-        Release("ff", "1.0", date(2004, 11, 9), True, date(2007, 5, 30)),
+        Release("ff", "1.0", date(2004, 11, 9), True),
         Release("chrome", "4.0", date(2010, 1, 25)),
     ]
     path = tmp_path / "releases.json"

@@ -4,7 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from vdmfit.datasets import DatasetKind, ObservationSeries
+from vdmfit.fitter import initial_guesses
 from vdmfit.models import (
+    LINEAR,
     MODEL_IDS,
     MODELS,
     DomainError,
@@ -24,9 +27,16 @@ def test_registry_is_exhaustive_and_consistent():
     assert param_count("AML") == 3
     for mid in ("AT", "LN", "LP", "RE", "RQ"):
         assert param_count(mid) == 2
+    t = np.arange(1.0, 9.0)
+    series = ObservationSeries("p", "1", DatasetKind.NVD, tuple((int(m), 2.0 * m) for m in t))
     for mid, spec in MODELS.items():
         assert spec.id == mid
         assert len(spec.param_names) == spec.param_count
+        assert len(spec.domain) == spec.param_count
+        assert spec.jacobian(np.full(spec.param_count, 0.5), t).shape == (t.size, spec.param_count)
+        assert spec.launch == LINEAR or len(spec.launch) == spec.param_count
+        for grid_size in (1, 2, 3):
+            assert len(initial_guesses(series, mid, grid_size)) == grid_size ** spec.param_count
     with pytest.raises(UnknownModelError):
         param_count("XX")
 
