@@ -333,7 +333,9 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-TRACK_FIELDS = _CURVE_COLUMNS + ("msr", "status", "classification", "p_value", "chi2", "valid")
+TRACK_FIELDS = _CURVE_COLUMNS + (
+    "msr", "status", "classification", "p_value", "chi2", "valid", "converged", "sse",
+)
 
 
 def _track_rows(cfg: RunConfig) -> tuple[list[dict], dict]:
@@ -343,14 +345,16 @@ def _track_rows(cfg: RunConfig) -> tuple[list[dict], dict]:
     results = _run_jobs(_track_job, payloads, cfg.workers)
 
     rows = []
-    for (series, model_id, _, _), outcome in zip(payloads, results):
-        if outcome[0] == "error":
-            log.warning("track failed for %s %s: %s", series.key(), model_id, outcome[1])
-            continue
-        for msr, result in outcome[1]:
+    for (series, model_id, start_msr, _), (status, outcome) in zip(payloads, results):
+        if status == "error":
+            # a failed curve still gets its months, each without a state
+            log.warning("track failed for %s %s: %s", series.key(), model_id, outcome)
+            outcome = [(msr, None) for msr in range(start_msr, series.last_msr + 1)]
+        for msr, result in outcome:
             row = _curve_row(series, model_id) | {"msr": msr}
             if result is None:
-                row.update(status="error", classification="", p_value="", chi2="", valid="")
+                row.update(status="error", classification="", p_value="", chi2="", valid="",
+                           converged="", sse="")
             else:
                 row.update(
                     status="ok",
@@ -358,6 +362,8 @@ def _track_rows(cfg: RunConfig) -> tuple[list[dict], dict]:
                     p_value=repr(result.p_value),
                     chi2=repr(result.chi_square),
                     valid=result.valid,
+                    converged=result.converged,
+                    sse=repr(result.sse),
                 )
             rows.append(row)
     rows.sort(key=lambda r: (r["product"], r["version"], r["dataset"], r["model"], r["msr"]))

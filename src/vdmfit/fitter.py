@@ -7,13 +7,23 @@ onto the parameter box, so log arguments and the AML denominator stay
 valid throughout. The best (lowest-SSE) launch wins; exact ties break
 to the lexicographically smallest parameter vector, which makes the
 result independent of launch order.
+
+RE and LP are linear in their amplitude (N, beta0), so they are fit by
+variable projection (Golub & Pereyra 1973): at every rate the amplitude
+is the exact least-squares coefficient on the unit-amplitude curve,
+clipped to its box, and the damped iteration runs on the rate alone
+with Kaufman's projected derivative. This removes the N*lambda
+(beta0*beta1) ridge along which a two-parameter iteration drifts on
+s-shaped or near-linear data. A rate at the floor of its box means the
+linear limit: the curve is then the best line through the origin.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -149,18 +159,26 @@ def initial_guesses(
 
 
 def _levenberg_marquardt(
-    model_id: str,
-    t: np.ndarray,
-    y: np.ndarray,
+    trial: Callable[[np.ndarray], tuple],
+    jacobian: Callable[[np.ndarray, tuple], np.ndarray],
     x0: Sequence[float],
     lo: np.ndarray,
     hi: np.ndarray,
     options: FitOptions,
-) -> tuple[np.ndarray, float, bool, int]:
+) -> tuple[np.ndarray, float, bool, int, tuple]:
+    """Damped Gauss-Newton from x0 inside the box [lo, hi].
+
+    ``trial(x)`` is a tuple that starts with the residuals and the SSE at
+    x (None and inf where the curve is not evaluable there);
+    ``jacobian(x, trial(x))`` is the derivative of the curve with respect
+    to x. Returns x, its SSE, whether the SSE test was met, the
+    iterations used and the trial at x.
+    """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    r, sse = _residuals(model_id, x, t, y)
+    state = trial(x)
+    r, sse = state[:2]
     if r is None:
-        return x, sse, False, 0
+        return x, sse, False, 0, state
     damping = options.damping_init
     eye = np.eye(x.size)
     converged = sse == 0.0
@@ -168,7 +186,7 @@ def _levenberg_marquardt(
 
     while not converged and iterations < options.max_iterations:
         iterations += 1
-        jac = models.gradient(model_id, x, t)
+        jac = jacobian(x, state)
         grad = jac.T @ r
         jtj = jac.T @ jac
 
@@ -180,7 +198,8 @@ def _levenberg_marquardt(
                 damping *= options.damping_factor
                 continue
             candidate = np.clip(x + step, lo, hi)
-            r_new, sse_new = _residuals(model_id, candidate, t, y)
+            new_state = trial(candidate)
+            sse_new = new_state[1]
             if np.isfinite(sse_new) and sse_new <= sse:
                 accepted = True
                 break
@@ -189,13 +208,63 @@ def _levenberg_marquardt(
             break
 
         improvement = sse - sse_new
-        x, r = candidate, r_new
+        x, state = candidate, new_state
+        r = state[0]
         damping = max(damping / options.damping_factor, _DAMPING_MIN)
         if improvement <= options.relative_sse_tolerance * max(sse, _TINY_SSE):
             converged = True
         sse = sse_new
 
-    return x, sse, converged, iterations
+    return x, sse, converged, iterations, state
+
+
+def _projected(
+    model_id: str, k: float, t: np.ndarray, y: np.ndarray, lo: float, hi: float
+) -> tuple:
+    """Residuals and SSE at rate k of the unit-amplitude curve phi times
+    its least-squares amplitude a, clipped to [lo, hi]; then phi and a.
+    (None, inf, None, None) when the curve is not evaluable at k or the
+    SSE is not finite."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            phi = models.evaluate(model_id, (1.0, k), t)
+            a = float(np.clip((phi @ y) / (phi @ phi), lo, hi))
+            # a * phi is bitwise the curve at (a, k), so this is the SSE
+            # of the returned params
+            r = y - a * phi
+            sse = float(r @ r)
+    except DomainError:
+        sse = math.inf
+    return (r, sse, phi, a) if math.isfinite(sse) else (None, math.inf, None, None)
+
+
+def _separable_fit(
+    model_id: str,
+    t: np.ndarray,
+    y: np.ndarray,
+    k0: float,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    options: FitOptions,
+) -> tuple[np.ndarray, float, bool, int]:
+    """Variable projection for a curve a*phi(k, t): the damped iteration
+    runs on the rate k alone, and the amplitude a is solved at every k."""
+
+    def trial(z):
+        return _projected(model_id, float(z[0]), t, y, lo[0], hi[0])
+
+    def jacobian(z, state):
+        # column 1 of the gradient at (a, k) is a * dphi/dk; Kaufman's
+        # derivative projects it off phi, the direction a already spans
+        _, _, phi, a = state
+        d = models.gradient(model_id, (a, z[0]), t)[:, 1]
+        return (d - phi * ((phi @ d) / (phi @ phi)))[:, None]
+
+    z, sse, converged, iterations, state = _levenberg_marquardt(
+        trial, jacobian, [k0], lo[1:], hi[1:], options
+    )
+    a = lo[0] if state[0] is None else state[3]
+    return np.array([a, z[0]]), sse, converged, iterations
 
 
 def fit(
@@ -207,9 +276,12 @@ def fit(
     """Best multistart least-squares fit of ``model_id`` to the series.
 
     ``starts`` overrides the default multistart grid (useful for refits
-    and tests). Raises InsufficientDataError when the series has fewer
-    than param_count + 1 points; a fit that never reached the SSE
-    tolerance is returned with converged=False rather than raised.
+    and tests). For a family with a linear amplitude (RE, LP) only the
+    rates of the starts matter: each distinct rate is one launch, and the
+    amplitude is solved at every rate. Raises InsufficientDataError when
+    the series has fewer than param_count + 1 points; a fit that never
+    reached the SSE tolerance is returned with converged=False rather
+    than raised.
     """
     options = options or DEFAULT_OPTIONS
     mspec = models.spec(model_id)
@@ -225,10 +297,22 @@ def fit(
     if not starts:
         raise ValueError("no starting points")
 
+    if mspec.linear_amplitude:
+        # the amplitude of a start is solved, not searched: one launch per rate
+        rates = sorted({float(np.clip(x0[1], lo[1], hi[1])) for x0 in starts})
+        runs = (_separable_fit(model_id, t, y, k, lo, hi, options) for k in rates)
+    else:
+        def trial(x):
+            return _residuals(model_id, x, t, y)
+
+        def jacobian(x, _):
+            return models.gradient(model_id, x, t)
+
+        runs = (_levenberg_marquardt(trial, jacobian, x0, lo, hi, options)[:4] for x0 in starts)
+
     best = None
     best_key = None
-    for x0 in starts:
-        x, sse, conv, iters = _levenberg_marquardt(model_id, t, y, x0, lo, hi, options)
+    for x, sse, conv, iters in runs:
         # NaN compares false against everything and would freeze the
         # running best; rank it like +inf instead
         key = (sse if sse == sse else float("inf"), tuple(x))

@@ -78,6 +78,9 @@ class FitResult:
     p_value: float
     classification: FitClass
     valid: bool
+    # from the FitOutcome tested: did the fitter converge, and its SSE
+    converged: bool
+    sse: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,12 +112,13 @@ def test_fit(series: ObservationSeries, outcome: FitOutcome) -> FitResult:
         )
     t = np.array(series.months, dtype=float)
     observed = np.array(series.counts, dtype=float)
+    fitted = {"converged": outcome.converged, "sse": outcome.sse}
     try:
         expected = models.evaluate(params.model_id, params.values, t)
         chi2 = chi_square_statistic(observed, expected)
     except (InvalidExpectedError, models.DomainError):
         return FitResult(
-            params.model_id, params, math.inf, dof, 0.0, FitClass.NOT_FIT, valid=False
+            params.model_id, params, math.inf, dof, 0.0, FitClass.NOT_FIT, valid=False, **fitted
         )
     p = p_value(chi2, dof)
-    return FitResult(params.model_id, params, chi2, dof, p, classify(p), valid=True)
+    return FitResult(params.model_id, params, chi2, dof, p, classify(p), valid=True, **fitted)

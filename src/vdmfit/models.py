@@ -20,6 +20,12 @@ Each family is one row of the ``MODELS`` table: its parameter names, its
 fitting box, its curve and Jacobian kernels and its multistart launch
 rule. Adding a family means adding one row; ``evaluate``, ``gradient``,
 ``default_domain``, ``ParamVector`` and the fitter all read the row.
+
+RE and LP are linear in their amplitude (N, beta0); their rows say so
+(``linear_amplitude``), and the fitter solves that amplitude exactly at
+every rate. A rate at the floor of its box is the linear limit: as
+lambda (beta1) -> 0 both curves tend to the line (N*lambda)*t
+((beta0*beta1)*t).
 """
 
 from __future__ import annotations
@@ -70,7 +76,10 @@ class ModelSpec:
     evaluate, but leave shape and finiteness checks to ``evaluate`` and
     ``gradient``. ``launch`` is either LINEAR or one multistart axis name
     per parameter ("rate", "asym" or "level", see
-    ``fitter.initial_guesses``).
+    ``fitter.initial_guesses``). ``linear_amplitude`` marks a two-parameter
+    curve that is its parameter 0 times a unit-amplitude basis of
+    parameter 1 alone, ``curve((a, k), t) == a * curve((1, k), t)``: the
+    fitter then solves the amplitude exactly and iterates on the rate.
     """
 
     id: str
@@ -79,6 +88,7 @@ class ModelSpec:
     launch: str | tuple[str, ...]
     curve: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    linear_amplitude: bool = False
 
     @property
     def param_count(self) -> int:
@@ -141,11 +151,12 @@ MODELS = {
                   jacobian=lambda p, t: _columns(t, np.ones_like(t))),
         ModelSpec("LP", ("beta0", "beta1"), (_POS, _POS), ("asym", "rate"),
                   curve=lambda p, t: p[0] * np.log(_lp_arg(p, t)),
-                  jacobian=_lp_jacobian),
+                  jacobian=_lp_jacobian, linear_amplitude=True),
         ModelSpec("RE", ("N", "lambda"), (_POS, _POS), ("asym", "rate"),
                   curve=lambda p, t: p[0] * -np.expm1(-p[1] * t),
                   jacobian=lambda p, t: _columns(-np.expm1(-p[1] * t),
-                                                 p[0] * t * np.exp(-p[1] * t))),
+                                                 p[0] * t * np.exp(-p[1] * t)),
+                  linear_amplitude=True),
         ModelSpec("RQ", ("A", "B"), (_FREE, _FREE), LINEAR,
                   curve=lambda p, t: p[0] * t * t / 2.0 + p[1] * t,
                   jacobian=lambda p, t: _columns(t * t / 2.0, t)),

@@ -160,6 +160,50 @@ def test_track_and_metric_commands(world, tmp_path):
     assert summary["group_by"] == "model"
 
 
+def test_failed_track_curve_keeps_its_months_as_error_rows(world, tmp_path, monkeypatch):
+    import vdmfit.cli as cli
+
+    rolling_gof = cli.rolling_gof
+
+    def failing_re(series, model_id, *args, **kwargs):
+        if model_id == "RE":
+            raise ValueError("no RE today")
+        return rolling_gof(series, model_id, *args, **kwargs)
+
+    shared = ("--corpus", world["corpus"], "--releases", world["releases"],
+              "--as-of", world["as_of"], "--datasets", "NVD,NVD.Bug")
+    assert run_cli("track", *shared, "--models", "LN", "--out", tmp_path / "ln") == 0
+    monkeypatch.setattr(cli, "rolling_gof", failing_re)
+    out = tmp_path / "failed"
+    assert run_cli("track", *shared, "--models", "LN,RE", "--out", out) == 0
+
+    rows = read_csv(out / "track.csv")
+    re_rows = [r for r in rows if r["model"] == "RE"]
+    assert sorted((r["dataset"], int(r["msr"])) for r in re_rows) == sorted(
+        (d, m) for d in ("NVD", "NVD.Bug") for m in range(6, 25)
+    )
+    assert all(r["status"] == "error" and r["sse"] == r["converged"] == "" for r in re_rows)
+    ln_rows = [r for r in rows if r["model"] == "LN"]
+    assert ln_rows == read_csv(tmp_path / "ln" / "track.csv")
+    assert all(r["converged"] in ("True", "False") and float(r["sse"]) >= 0 for r in ln_rows)
+
+    def values(path):
+        return [(r["group"], r["msr"], r["value"]) for r in read_csv(path)]
+
+    # error months are absent: entropy and quality pool the LN curves only,
+    # from the file and from the in-process rows alike
+    assert run_cli("entropy", "--track", tmp_path / "ln" / "track.csv", "--out", tmp_path / "e_ln") == 0
+    assert run_cli("entropy", "--track", out / "track.csv", "--out", tmp_path / "e_file") == 0
+    assert run_cli("entropy", *shared, "--models", "LN,RE", "--out", tmp_path / "e_mem") == 0
+    for name in ("entropy_beta1.csv", "entropy_beta2.csv"):
+        expected = values(tmp_path / "e_ln" / name)
+        assert expected
+        assert values(tmp_path / "e_file" / name) == expected
+        assert values(tmp_path / "e_mem" / name) == expected
+    assert run_cli("quality", *shared, "--models", "LN,RE", "--out", tmp_path / "q") == 0
+    assert {r["group"] for r in read_csv(tmp_path / "q" / "quality_omega1.csv")} == {"LN"}
+
+
 def test_quality_all_good_world_is_one(tmp_path):
     sim = tmp_path / "sim"
     run_cli("simulate", "--model", "LN", "--params", "2,1", "--horizon", "15",

@@ -82,15 +82,18 @@ def test_kruskal_wallis_matches_scipy():
 
 
 def test_fit_matches_curve_fit_minimum():
-    series = generate(
-        "RE", (100.0, 0.05), 60, NoiseSpec(NoiseKind.MULTIPLICATIVE, 0.02, 7)
+    cases = (
+        ("RE", (100.0, 0.05), lambda t, n, lam: n * (1.0 - np.exp(-lam * t)), (60.0, 0.01)),
+        ("LP", (150.0, 0.05), lambda t, b0, b1: b0 * np.log(1.0 + b1 * t), (100.0, 0.1)),
     )
-    t = np.array(series.months, dtype=float)
-    y = np.array(series.counts, dtype=float)
-    mine = fit(series, "RE")
-    popt, _ = curve_fit(
-        lambda t, n, lam: n * (1.0 - np.exp(-lam * t)), t, y, p0=(60.0, 0.01), maxfev=10000
-    )
-    residual = y - popt[0] * (1.0 - np.exp(-popt[1] * t))
-    assert mine.params.values == pytest.approx(tuple(popt), rel=1e-5)
-    assert mine.sse <= float(residual @ residual) + 1e-9
+    for model_id, truth, curve, p0 in cases:
+        series = generate(
+            model_id, truth, 60, NoiseSpec(NoiseKind.MULTIPLICATIVE, 0.02, 7)
+        )
+        t = np.array(series.months, dtype=float)
+        y = np.array(series.counts, dtype=float)
+        mine = fit(series, model_id)
+        popt, _ = curve_fit(curve, t, y, p0=p0, maxfev=10000)
+        residual = y - curve(t, *popt)
+        assert mine.params.values == pytest.approx(tuple(popt), rel=1e-5), model_id
+        assert mine.sse <= float(residual @ residual) + 1e-9, model_id

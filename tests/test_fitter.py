@@ -12,7 +12,7 @@ from vdmfit.fitter import (
     sum_squared_error,
 )
 from vdmfit.models import evaluate
-from vdmfit.simulate import exact_series
+from vdmfit.simulate import NoiseKind, NoiseSpec, exact_series, generate
 
 from oracles import grid_search_2d, grid_search_3d
 
@@ -164,3 +164,27 @@ def test_sum_squared_error_matches_definition():
     params = (2.0, 1.0)
     expected = sum((c - evaluate("LN", params, m)) ** 2 for m, c in series.points)
     assert sum_squared_error(series, "LN", params) == pytest.approx(expected)
+
+
+def test_separable_fit_reaches_the_linear_limit_off_the_ridge():
+    # the first 12 months of the README world are s-shaped: RE and LP fit
+    # best at their linear limit, rate -> 0, amplitude * rate -> slope
+    series = generate("AML", (0.004, 120.0, 1.0), 12, NoiseSpec(NoiseKind.MULTIPLICATIVE, 0.03, 7))
+    t = np.array(series.months, dtype=float)
+    y = np.array(series.counts, dtype=float)
+    slope = (t @ y) / (t @ t)
+    line_sse = float((y - slope * t) @ (y - slope * t))
+    for model in ("RE", "LP"):
+        outcome = fit(series, model)
+        assert outcome.sse <= line_sse * (1.0 + 1e-9), model
+        assert outcome.sse == sum_squared_error(series, model, outcome.params.values), model
+    assert fit(series, "RE").converged
+
+
+def test_separable_fit_launches_once_per_rate():
+    # starts that differ only in their amplitude are one launch
+    series = exact_series("RE", (80.0, 0.07), 36)
+    rates = (1e-3, 0.1, 1.0)
+    one = fit(series, "RE", starts=[(50.0, k) for k in rates])
+    many = fit(series, "RE", starts=[(a, k) for a in (1.0, 50.0, 1e4) for k in rates])
+    assert one == many

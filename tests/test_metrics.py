@@ -256,6 +256,7 @@ def test_states_from_results_maps_invalid_to_notfit():
     from vdmfit.models import ParamVector
 
     fake = FitResult(
-        "LN", ParamVector("LN", (1.0, -5.0)), float("inf"), 4, 0.0, FitClass.NOT_FIT, valid=False
+        "LN", ParamVector("LN", (1.0, -5.0)), float("inf"), 4, 0.0, FitClass.NOT_FIT, valid=False,
+        converged=True, sse=0.0,
     )
     assert states_from_results([(6, fake), (7, None)]) == {6: FitClass.NOT_FIT}

@@ -35,6 +35,12 @@ def test_registry_is_exhaustive_and_consistent():
         assert len(spec.domain) == spec.param_count
         assert spec.jacobian(np.full(spec.param_count, 0.5), t).shape == (t.size, spec.param_count)
         assert spec.launch == LINEAR or len(spec.launch) == spec.param_count
+        if spec.linear_amplitude:
+            # amplitude times the unit-amplitude curve, bit for bit
+            assert spec.param_count == 2
+            for a, k in ((3.7, 0.05), (1e12, 1e-12)):
+                assert np.array_equal(spec.curve(np.array([a, k]), t),
+                                      a * spec.curve(np.array([1.0, k]), t))
         for grid_size in (1, 2, 3):
             assert len(initial_guesses(series, mid, grid_size)) == grid_size ** spec.param_count
     with pytest.raises(UnknownModelError):
