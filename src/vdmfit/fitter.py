@@ -1,21 +1,25 @@
-"""Nonlinear least-squares estimation of VDM parameters.
+"""Least-squares estimation of VDM parameters.
 
-Damped Gauss-Newton iteration (Levenberg-Marquardt damping schedule) on
-the analytic gradients from :mod:`vdmfit.models`, launched from a
-data-driven multistart grid. Out-of-domain steps are projected back
-onto the parameter box, so log arguments and the AML denominator stay
-valid throughout. The best (lowest-SSE) launch wins; exact ties break
-to the lexicographically smallest parameter vector, which makes the
-result independent of launch order.
+A family's row in :mod:`vdmfit.models` names the parameters the fitter
+iterates on (its ``launch`` axes); the others are solved exactly. AT, LN
+and RQ are linear in all their parameters: one least-squares solve on
+their basis is the optimum. RE and LP are linear in their amplitude
+(N, beta0) and are fit by variable projection (Golub & Pereyra 1973):
+at every rate the amplitude is the exact least-squares coefficient on
+the unit-amplitude curve, clipped to its box, and the iteration runs on
+the rate alone with Kaufman's projected derivative. This removes the
+N*lambda (beta0*beta1) ridge along which a two-parameter iteration
+drifts on s-shaped or near-linear data; a rate at the floor of its box
+means the linear limit, the best line through the origin. AML is
+iterated on all three parameters.
 
-RE and LP are linear in their amplitude (N, beta0), so they are fit by
-variable projection (Golub & Pereyra 1973): at every rate the amplitude
-is the exact least-squares coefficient on the unit-amplitude curve,
-clipped to its box, and the damped iteration runs on the rate alone
-with Kaufman's projected derivative. This removes the N*lambda
-(beta0*beta1) ridge along which a two-parameter iteration drifts on
-s-shaped or near-linear data. A rate at the floor of its box means the
-linear limit: the curve is then the best line through the origin.
+The iteration is damped Gauss-Newton (Levenberg-Marquardt damping
+schedule) on the analytic gradients, launched from a data-driven
+multistart grid. Out-of-domain steps are projected back onto the
+parameter box, so log arguments and the AML denominator stay valid
+throughout. The best (lowest-SSE) launch wins; exact ties break to the
+lexicographically smallest parameter vector, which makes the result
+independent of launch order.
 """
 
 from __future__ import annotations
@@ -50,8 +54,6 @@ class InsufficientDataError(ValueError):
 class FitOptions:
     max_iterations: int = 200
     relative_sse_tolerance: float = 1e-9
-    damping_init: float = 1e-3
-    damping_factor: float = 10.0
     multistart_grid_size: int = 3
 
     def __post_init__(self):
@@ -59,8 +61,6 @@ class FitOptions:
             raise ValueError("max_iterations must be positive")
         if self.relative_sse_tolerance <= 0:
             raise ValueError("relative_sse_tolerance must be positive")
-        if self.damping_init <= 0 or self.damping_factor <= 1:
-            raise ValueError("damping_init must be > 0 and damping_factor > 1")
         if self.multistart_grid_size < 1:
             raise ValueError("multistart_grid_size must be >= 1")
 
@@ -68,6 +68,8 @@ class FitOptions:
 DEFAULT_OPTIONS = FitOptions()
 
 _BOUND_EPS = 1e-12
+_DAMPING_INIT = 1e-3
+_DAMPING_FACTOR = 10.0
 _DAMPING_MAX = 1e14
 _DAMPING_MIN = 1e-12
 _TINY_SSE = 1e-300
@@ -118,44 +120,31 @@ def _domain_arrays(model_id: str) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _spread(center: float, grid_size: int) -> list[float]:
-    if grid_size == 1:
-        return [float(center)]
-    half_width = max(abs(center), 1.0)
-    return [float(v) for v in np.linspace(center - half_width, center + half_width, grid_size)]
-
-
 def initial_guesses(
     series: ObservationSeries, model_id: str, grid_size: int
 ) -> list[tuple[float, ...]]:
-    """Multistart grid of grid_size**param_count launch points.
+    """The launches ``fit`` makes: one point per node of the multistart
+    grid over the family's ``launch`` axes, grid_size**len(launch) points.
 
-    Asymptote-like parameters (AML B, RE N, LP beta0) span
-    [max_count, 3*max_count]; rate parameters (AML A, RE lambda,
-    LP beta1) span [1e-3, 1] log-spaced; AML's level parameter C spans
-    [1e-2, 10] log-spaced; LN, RQ and AT launch around their
-    closed-form linear-regression seeds.
+    The asymptote axis (AML B) spans [max_count, 3*max_count]; the rate
+    axis (AML A, RE lambda, LP beta1) spans [1e-3, 1] log-spaced; the
+    level axis (AML C) spans [1e-2, 10] log-spaced. The parameters that
+    ``fit`` solves exactly (RE N, LP beta0, all of AT, LN and RQ) hold
+    the placeholder 1.0, so AT, LN and RQ get a single point.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     mspec = models.spec(model_id)
-    t, y = _series_arrays(series)
-
-    if mspec.launch == models.LINEAR:
-        # the Jacobian of a linear family is its basis, whatever the parameters
-        design = mspec.jacobian(np.zeros(mspec.param_count), t)
-        seed, *_ = np.linalg.lstsq(design, y, rcond=None)
-        axes = [_spread(c, grid_size) for c in seed]
-    else:
-        ymax = max(float(y.max()), 1.0)
-        grids = {
-            "asym": np.linspace(ymax, 3.0 * ymax, grid_size),
-            "rate": np.logspace(-3.0, 0.0, grid_size),
-            "level": np.logspace(-2.0, 1.0, grid_size),
-        }
-        axes = [[float(v) for v in grids[name]] for name in mspec.launch]
-
-    return [tuple(combo) for combo in itertools.product(*axes)]
+    _, y = _series_arrays(series)
+    ymax = max(float(y.max(initial=0.0)), 1.0)
+    grids = {
+        "asym": np.linspace(ymax, 3.0 * ymax, grid_size),
+        "rate": np.logspace(-3.0, 0.0, grid_size),
+        "level": np.logspace(-2.0, 1.0, grid_size),
+    }
+    solved = (1.0,) * (mspec.param_count - len(mspec.launch))
+    axes = [[float(v) for v in grids[name]] for name in mspec.launch]
+    return [solved + combo for combo in itertools.product(*axes)]
 
 
 def _levenberg_marquardt(
@@ -172,14 +161,16 @@ def _levenberg_marquardt(
     x (None and inf where the curve is not evaluable there);
     ``jacobian(x, trial(x))`` is the derivative of the curve with respect
     to x. Returns x, its SSE, whether the SSE test was met, the
-    iterations used and the trial at x.
+    iterations used and the trial at x; a start whose SSE is not finite
+    (inf or NaN) is returned unmoved.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     state = trial(x)
     r, sse = state[:2]
-    if r is None:
+    if not math.isfinite(sse):
+        # overflowing residuals give no usable step: the launch ends here
         return x, sse, False, 0, state
-    damping = options.damping_init
+    damping = _DAMPING_INIT
     eye = np.eye(x.size)
     converged = sse == 0.0
     iterations = 0
@@ -195,7 +186,7 @@ def _levenberg_marquardt(
             try:
                 step = np.linalg.solve(jtj + damping * eye, grad)
             except np.linalg.LinAlgError:
-                damping *= options.damping_factor
+                damping *= _DAMPING_FACTOR
                 continue
             candidate = np.clip(x + step, lo, hi)
             new_state = trial(candidate)
@@ -203,14 +194,14 @@ def _levenberg_marquardt(
             if np.isfinite(sse_new) and sse_new <= sse:
                 accepted = True
                 break
-            damping *= options.damping_factor
+            damping *= _DAMPING_FACTOR
         if not accepted:
             break
 
         improvement = sse - sse_new
         x, state = candidate, new_state
         r = state[0]
-        damping = max(damping / options.damping_factor, _DAMPING_MIN)
+        damping = max(damping / _DAMPING_FACTOR, _DAMPING_MIN)
         if improvement <= options.relative_sse_tolerance * max(sse, _TINY_SSE):
             converged = True
         sse = sse_new
@@ -276,12 +267,13 @@ def fit(
     """Best multistart least-squares fit of ``model_id`` to the series.
 
     ``starts`` overrides the default multistart grid (useful for refits
-    and tests). For a family with a linear amplitude (RE, LP) only the
-    rates of the starts matter: each distinct rate is one launch, and the
-    amplitude is solved at every rate. Raises InsufficientDataError when
-    the series has fewer than param_count + 1 points; a fit that never
-    reached the SSE tolerance is returned with converged=False rather
-    than raised.
+    and tests). Only the parameters the family iterates on matter in a
+    start: for AT, LN and RQ, fit in closed form, the starts are ignored
+    and the outcome is converged after 0 iterations; for RE and LP each
+    distinct rate is one launch, and the amplitude is solved at every
+    rate. Raises InsufficientDataError when the series has fewer than
+    param_count + 1 points; a fit that never reached the SSE tolerance
+    is returned with converged=False rather than raised.
     """
     options = options or DEFAULT_OPTIONS
     mspec = models.spec(model_id)
@@ -291,13 +283,19 @@ def fit(
             f"series has {len(series.points)}"
         )
     t, y = _series_arrays(series)
+    if not mspec.launch:
+        # linear in every parameter: the Jacobian at the one launch point
+        # is the basis, and one least-squares solve is the optimum
+        (x0,) = initial_guesses(series, model_id, 1)
+        x, *_ = np.linalg.lstsq(models.gradient(model_id, x0, t), y, rcond=None)
+        return FitOutcome(ParamVector(model_id, tuple(x)), _residuals(model_id, x, t, y)[1], True, 0)
     lo, hi = _domain_arrays(model_id)
     if starts is None:
         starts = initial_guesses(series, model_id, options.multistart_grid_size)
     if not starts:
         raise ValueError("no starting points")
 
-    if mspec.linear_amplitude:
+    if len(mspec.launch) < mspec.param_count:
         # the amplitude of a start is solved, not searched: one launch per rate
         rates = sorted({float(np.clip(x0[1], lo[1], hi[1])) for x0 in starts})
         runs = (_separable_fit(model_id, t, y, k, lo, hi, options) for k in rates)

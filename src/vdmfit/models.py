@@ -17,15 +17,17 @@ parameter sign constraints live in ``default_domain`` and are enforced by
 the fitter, not by ``evaluate``.
 
 Each family is one row of the ``MODELS`` table: its parameter names, its
-fitting box, its curve and Jacobian kernels and its multistart launch
-rule. Adding a family means adding one row; ``evaluate``, ``gradient``,
-``default_domain``, ``ParamVector`` and the fitter all read the row.
+fitting box, its curve and Jacobian kernels and the multistart axes of
+the parameters the fitter iterates on. Adding a family means adding one
+row; ``evaluate``, ``gradient``, ``default_domain``, ``ParamVector`` and
+the fitter all read the row.
 
-RE and LP are linear in their amplitude (N, beta0); their rows say so
-(``linear_amplitude``), and the fitter solves that amplitude exactly at
-every rate. A rate at the floor of its box is the linear limit: as
-lambda (beta1) -> 0 both curves tend to the line (N*lambda)*t
-((beta0*beta1)*t).
+AT, LN and RQ are linear in all their parameters, so their rows name no
+launch axis and the fitter solves them in closed form. RE and LP are
+linear in their amplitude (N, beta0); their rows name only the rate
+axis, and the fitter solves the amplitude exactly at every rate. A rate
+at the floor of its box is the linear limit: as lambda (beta1) -> 0 both
+curves tend to the line (N*lambda)*t ((beta0*beta1)*t).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 __all__ = [
-    "LINEAR",
     "MODEL_IDS",
     "MODELS",
     "DomainError",
@@ -62,11 +63,6 @@ class DomainError(ValueError):
     denominator non-positive)."""
 
 
-# launch rule of the families that are linear in their parameters: the
-# multistart grid is centred on the least-squares coefficients
-LINEAR = "linear"
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Identity card of one curve family.
@@ -74,21 +70,21 @@ class ModelSpec:
     ``curve`` and ``jacobian`` are unchecked kernels of (params, t array):
     they raise DomainError for the parameter combinations a family cannot
     evaluate, but leave shape and finiteness checks to ``evaluate`` and
-    ``gradient``. ``launch`` is either LINEAR or one multistart axis name
-    per parameter ("rate", "asym" or "level", see
-    ``fitter.initial_guesses``). ``linear_amplitude`` marks a two-parameter
-    curve that is its parameter 0 times a unit-amplitude basis of
-    parameter 1 alone, ``curve((a, k), t) == a * curve((1, k), t)``: the
-    fitter then solves the amplitude exactly and iterates on the rate.
+    ``gradient``. ``launch`` names one multistart axis ("rate", "asym"
+    or "level", see ``fitter.initial_guesses``) for each of the trailing
+    ``len(launch)`` parameters, the ones the fitter iterates on; the
+    fitter solves every parameter before them exactly. ``launch == ()``
+    marks a curve linear in all its parameters (one least-squares solve);
+    a rate axis after one amplitude marks ``curve((a, k), t) == a *
+    curve((1, k), t)`` (variable projection on the rate).
     """
 
     id: str
     param_names: tuple[str, ...]
     domain: tuple[tuple[float, float], ...]
-    launch: str | tuple[str, ...]
+    launch: tuple[str, ...]
     curve: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    linear_amplitude: bool = False
 
     @property
     def param_count(self) -> int:
@@ -143,21 +139,20 @@ MODELS = {
         ModelSpec("AML", ("A", "B", "C"), (_POS, _POS, _POS), ("rate", "asym", "level"),
                   curve=lambda p, t: p[1] / _aml_terms(p, t)[1],
                   jacobian=_aml_jacobian),
-        ModelSpec("AT", ("k", "C"), (_FREE, _FREE), LINEAR,
+        ModelSpec("AT", ("k", "C"), (_FREE, _FREE), (),
                   curve=lambda p, t: p[0] * np.log(t) + p[1],
                   jacobian=lambda p, t: _columns(np.log(t), np.ones_like(t))),
-        ModelSpec("LN", ("A", "B"), (_FREE, _FREE), LINEAR,
+        ModelSpec("LN", ("A", "B"), (_FREE, _FREE), (),
                   curve=lambda p, t: p[0] * t + p[1],
                   jacobian=lambda p, t: _columns(t, np.ones_like(t))),
-        ModelSpec("LP", ("beta0", "beta1"), (_POS, _POS), ("asym", "rate"),
+        ModelSpec("LP", ("beta0", "beta1"), (_POS, _POS), ("rate",),
                   curve=lambda p, t: p[0] * np.log(_lp_arg(p, t)),
-                  jacobian=_lp_jacobian, linear_amplitude=True),
-        ModelSpec("RE", ("N", "lambda"), (_POS, _POS), ("asym", "rate"),
+                  jacobian=_lp_jacobian),
+        ModelSpec("RE", ("N", "lambda"), (_POS, _POS), ("rate",),
                   curve=lambda p, t: p[0] * -np.expm1(-p[1] * t),
                   jacobian=lambda p, t: _columns(-np.expm1(-p[1] * t),
-                                                 p[0] * t * np.exp(-p[1] * t)),
-                  linear_amplitude=True),
-        ModelSpec("RQ", ("A", "B"), (_FREE, _FREE), LINEAR,
+                                                 p[0] * t * np.exp(-p[1] * t))),
+        ModelSpec("RQ", ("A", "B"), (_FREE, _FREE), (),
                   curve=lambda p, t: p[0] * t * t / 2.0 + p[1] * t,
                   jacobian=lambda p, t: _columns(t * t / 2.0, t)),
     )

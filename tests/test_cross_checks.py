@@ -85,6 +85,10 @@ def test_fit_matches_curve_fit_minimum():
     cases = (
         ("RE", (100.0, 0.05), lambda t, n, lam: n * (1.0 - np.exp(-lam * t)), (60.0, 0.01)),
         ("LP", (150.0, 0.05), lambda t, b0, b1: b0 * np.log(1.0 + b1 * t), (100.0, 0.1)),
+        # linear families, fit in closed form
+        ("AT", (30.0, 5.0), lambda t, k, c: k * np.log(t) + c, (1.0, 1.0)),
+        ("LN", (2.5, 4.0), lambda t, a, b: a * t + b, (1.0, 1.0)),
+        ("RQ", (0.08, 1.5), lambda t, a, b: a * t * t / 2.0 + b * t, (1.0, 1.0)),
     )
     for model_id, truth, curve, p0 in cases:
         series = generate(

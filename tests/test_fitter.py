@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -26,8 +27,6 @@ def test_fit_options_validation():
         FitOptions(max_iterations=0)
     with pytest.raises(ValueError):
         FitOptions(multistart_grid_size=0)
-    with pytest.raises(ValueError):
-        FitOptions(damping_factor=1.0)
 
 
 def test_insufficient_data():
@@ -90,24 +89,28 @@ def test_aml_recovery_against_grid_search_oracle():
 
 def test_initial_guesses_grid_shape_and_rule():
     series = _series([(t, min(40.0, 4.0 * t)) for t in range(1, 21)])
+    # RE iterates on its rate alone; the solved amplitude is a placeholder
     guesses = initial_guesses(series, "RE", 3)
-    assert len(guesses) == 9
-    n_starts = sorted({g[0] for g in guesses})
-    assert n_starts == [40.0, 80.0, 120.0]
-    rates = sorted({g[1] for g in guesses})
+    assert len(guesses) == 3
+    assert {g[0] for g in guesses} == {1.0}
+    rates = sorted(g[1] for g in guesses)
     assert rates[0] == pytest.approx(1e-3)
     assert rates[-1] == pytest.approx(1.0)
 
-    guesses_aml = initial_guesses(series, "AML", 2)
-    assert len(guesses_aml) == 8
+    assert len(initial_guesses(series, "AML", 2)) == 8
+    guesses_aml = initial_guesses(series, "AML", 3)
+    assert len(guesses_aml) == 27
+    assert sorted({g[1] for g in guesses_aml}) == [40.0, 80.0, 120.0]
 
 
 def test_initial_guesses_constant_series_linear_seed():
+    # a linear family has one launch, at placeholders; its fit is the
+    # least-squares seed itself
     series = _series([(t, 5.0) for t in range(1, 9)])
-    guesses = initial_guesses(series, "LN", 3)
-    assert len(guesses) == 9
-    # the closed-form regression seed itself is on the grid
-    assert any(a == pytest.approx(0.0, abs=1e-12) and b == pytest.approx(5.0) for a, b in guesses)
+    assert initial_guesses(series, "LN", 3) == [(1.0, 1.0)]
+    a, b = fit(series, "LN").params.values
+    assert a == pytest.approx(0.0, abs=1e-12)
+    assert b == pytest.approx(5.0)
 
 
 def test_final_fit_beats_every_raw_grid_point():
@@ -151,12 +154,24 @@ def test_fit_params_stay_inside_domain():
 
 
 def test_poisonous_start_cannot_freeze_best_selection():
-    # an overflow-prone first start (NaN/inf SSE) must lose to any
-    # finite-SSE start
-    series = _series([(t, t * t / 2.0 + t) for t in range(1, 11)])
-    outcome = fit(series, "RQ", starts=[(1e300, 1e300), (0.5, 0.5)])
+    # an overflowing first start (NaN SSE) must lose to any finite-SSE start
+    truth = (0.01, 60.0, 0.9)
+    series = exact_series("AML", truth, 30)
+    poison = (1e300, 1e300, 1e300)
+    assert math.isnan(sum_squared_error(series, "AML", poison))
+    outcome = fit(series, "AML", starts=[poison, (0.01, 50.0, 1.0)])
     assert outcome.sse == pytest.approx(0.0, abs=1e-9)
-    assert all(abs(v) < 10.0 for v in outcome.params.values)
+    for got, want in zip(outcome.params.values, truth):
+        assert got == pytest.approx(want, rel=1e-3)
+
+
+def test_closed_form_fit_ignores_starts():
+    series = _series([(t, t * t / 2.0 + t + (-1.0) ** t) for t in range(1, 11)])
+    for model in ("AT", "LN", "RQ"):
+        outcome = fit(series, model)
+        assert fit(series, model, starts=[(1e300, 1e300)]) == outcome, model
+        assert outcome.converged and outcome.iterations_used == 0, model
+        assert outcome.sse == sum_squared_error(series, model, outcome.params.values), model
 
 
 def test_sum_squared_error_matches_definition():

@@ -7,7 +7,6 @@ import pytest
 from vdmfit.datasets import DatasetKind, ObservationSeries
 from vdmfit.fitter import initial_guesses
 from vdmfit.models import (
-    LINEAR,
     MODEL_IDS,
     MODELS,
     DomainError,
@@ -34,15 +33,22 @@ def test_registry_is_exhaustive_and_consistent():
         assert len(spec.param_names) == spec.param_count
         assert len(spec.domain) == spec.param_count
         assert spec.jacobian(np.full(spec.param_count, 0.5), t).shape == (t.size, spec.param_count)
-        assert spec.launch == LINEAR or len(spec.launch) == spec.param_count
-        if spec.linear_amplitude:
-            # amplitude times the unit-amplitude curve, bit for bit
-            assert spec.param_count == 2
+        assert len(spec.launch) <= spec.param_count
+        assert set(spec.launch) <= {"rate", "asym", "level"}
+        if not spec.launch:
+            # linear in every parameter: the Jacobian is the basis, the
+            # same at any parameters, which the closed-form fit relies on
+            assert np.array_equal(spec.jacobian(np.full(spec.param_count, 0.5), t),
+                                  spec.jacobian(np.full(spec.param_count, -3e6), t))
+        elif len(spec.launch) < spec.param_count:
+            # one solved amplitude times the unit-amplitude curve of the
+            # iterated rate, bit for bit
+            assert spec.param_count == 2 and spec.launch == ("rate",)
             for a, k in ((3.7, 0.05), (1e12, 1e-12)):
                 assert np.array_equal(spec.curve(np.array([a, k]), t),
                                       a * spec.curve(np.array([1.0, k]), t))
         for grid_size in (1, 2, 3):
-            assert len(initial_guesses(series, mid, grid_size)) == grid_size ** spec.param_count
+            assert len(initial_guesses(series, mid, grid_size)) == grid_size ** len(spec.launch)
     with pytest.raises(UnknownModelError):
         param_count("XX")
 
