@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date
@@ -213,6 +214,7 @@ def _load_series(cfg: RunConfig) -> tuple[list[ObservationSeries], list[dict], d
     the output metadata."""
     if not cfg.corpus or not cfg.releases:
         raise ValueError("both --corpus and --releases are required for this command")
+    started = time.perf_counter()
     corpus = import_corpus(cfg.corpus)
     releases = import_releases(cfg.releases)
     if cfg.as_of:
@@ -222,6 +224,7 @@ def _load_series(cfg: RunConfig) -> tuple[list[ObservationSeries], list[dict], d
             raise ValueError("empty corpus and no --as-of given")
         as_of = max(r.published for r in corpus)
     kinds = [DatasetKind(d) for d in cfg.datasets]
+    loaded = time.perf_counter()
 
     series_list: list[ObservationSeries] = []
     failures: list[dict] = []
@@ -239,6 +242,15 @@ def _load_series(cfg: RunConfig) -> tuple[list[ObservationSeries], list[dict], d
                         "error": str(exc),
                     }
                 )
+    # timings go to stderr only, never into an output file
+    log.info(
+        "%d records loaded in %.3f s; %d series built and %d skipped in %.3f s",
+        len(corpus),
+        loaded - started,
+        len(series_list),
+        len(failures),
+        time.perf_counter() - loaded,
+    )
     for failure in failures:
         log.warning("skipping %(product)s %(version)s %(dataset)s: %(error)s", failure)
     return series_list, failures, cfg.metadata() | {"as_of": as_of.isoformat()}

@@ -8,6 +8,15 @@ vulnerability of release X" under five different definitions, and
 months-since-release (MSR) timeline: MSR m ends at the last day of the
 m-th calendar month after the release month, so a September release has
 its first observation point on 31 October.
+
+The selectors read one index per corpus, built in a single pass over
+the records the first time a selector (or ``link_bugs_to_nvd``) uses
+that corpus, and cached on it: the nvd entries affecting each version,
+the nvd entries with a bug ref and with an advisory ref, the bugs
+linked to each nvd entry, the advisories referencing each nvd entry,
+each advisory's bug refs, and the advisories with no nvd ref. After
+that build, a ``select_dataset`` call costs about the size of the
+release's nvd list plus its output, not the size of the corpus.
 """
 
 from __future__ import annotations
@@ -17,11 +26,13 @@ import csv
 import json
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 log = logging.getLogger(__name__)
 
@@ -36,17 +47,14 @@ __all__ = [
     "RecordKind",
     "Release",
     "SecurityRecord",
-    "UnknownVersionError",
     "build_series",
     "export_corpus",
     "export_releases",
-    "find_release",
     "import_corpus",
     "import_releases",
     "link_bugs_to_nvd",
     "month_end",
     "msr_end",
-    "read_series_csv",
     "select_dataset",
     "write_series_csv",
 ]
@@ -61,10 +69,6 @@ class ParseError(CorpusError):
 
 
 class DuplicateIdError(CorpusError):
-    pass
-
-
-class UnknownVersionError(KeyError):
     pass
 
 
@@ -201,35 +205,74 @@ class Corpus:
     def of_kind(self, kind: RecordKind) -> tuple[SecurityRecord, ...]:
         return tuple(r for r in self if r.kind is kind)
 
-    def kind_of(self, record_id: str) -> RecordKind:
-        return self._records[record_id].kind
+    @cached_property
+    def _index(self) -> "_CorpusIndex":
+        # built by the first selector call rather than here, so a corpus
+        # that is never selected from never pays for it
+        return _index_corpus(self)
+
+
+class _CorpusIndex(NamedTuple):
+    """What the five selectors read, gathered in one pass over a corpus."""
+
+    nvds_by_version: dict[str, list[SecurityRecord]]  # in corpus order
+    with_bug: set[str]  # nvd ids with a bug ref
+    with_advisory: set[str]  # nvd ids with an advisory ref
+    linked_bugs: dict[str, set[str]]  # nvd id -> bug ids linked by either rule
+    advisories_of: dict[str, list[str]]  # nvd id -> advisories referencing it
+    bugs_of: dict[str, tuple[str, ...]]  # advisory id -> its bug refs
+    orphan_advisories: tuple[str, ...]  # advisories with no nvd ref
+
+
+def _index_corpus(corpus: Corpus) -> _CorpusIndex:
+    # plain dict and local lookups: this loop visits every record and ref
+    records = corpus._records
+    nvd_kind, bug_kind, advisory_kind = RecordKind.NVD, RecordKind.BUG, RecordKind.ADVISORY
+    nvds_by_version: dict[str, list[SecurityRecord]] = defaultdict(list)
+    with_bug: set[str] = set()
+    with_advisory: set[str] = set()
+    linked_bugs: dict[str, set[str]] = defaultdict(set)
+    advisories_of: dict[str, list[str]] = defaultdict(list)
+    bugs_of: dict[str, tuple[str, ...]] = {}
+    orphans: list[str] = []
+    for rec in corpus:
+        if rec.kind is nvd_kind:
+            for version in rec.affects:
+                nvds_by_version[version].append(rec)
+            for ref in rec.refs:
+                ref_kind = records[ref].kind
+                if ref_kind is bug_kind:
+                    with_bug.add(rec.id)
+                    linked_bugs[rec.id].add(ref)
+                elif ref_kind is advisory_kind:
+                    with_advisory.add(rec.id)
+        elif rec.kind is advisory_kind:
+            bugs = tuple(r for r in rec.refs if records[r].kind is bug_kind)
+            nvds = [r for r in rec.refs if records[r].kind is nvd_kind]
+            bugs_of[rec.id] = bugs
+            if not nvds:
+                orphans.append(rec.id)
+            for nvd in nvds:
+                advisories_of[nvd].append(rec.id)
+                linked_bugs[nvd].update(bugs)
+    return _CorpusIndex(
+        dict(nvds_by_version),
+        with_bug,
+        with_advisory,
+        dict(linked_bugs),
+        dict(advisories_of),
+        bugs_of,
+        tuple(orphans),
+    )
 
 
 def link_bugs_to_nvd(corpus: Corpus) -> frozenset[tuple[str, str]]:
     """(bug_id, nvd_id) edges under the two linking rules: the bug is
     listed in the nvd entry's references, or some advisory references
     both the bug and the nvd entry."""
-    edges: set[tuple[str, str]] = set()
-    for rec in corpus:
-        if rec.kind is RecordKind.NVD:
-            for ref in rec.refs:
-                if corpus.kind_of(ref) is RecordKind.BUG:
-                    edges.add((ref, rec.id))
-        elif rec.kind is RecordKind.ADVISORY:
-            bugs = [r for r in rec.refs if corpus.kind_of(r) is RecordKind.BUG]
-            nvds = [r for r in rec.refs if corpus.kind_of(r) is RecordKind.NVD]
-            for b in bugs:
-                for n in nvds:
-                    edges.add((b, n))
-    return frozenset(edges)
-
-
-def _selected_nvds(corpus: Corpus, version: str) -> dict[str, SecurityRecord]:
-    return {
-        r.id: r
-        for r in corpus
-        if r.kind is RecordKind.NVD and version in r.affects
-    }
+    return frozenset(
+        (bug, nvd) for nvd, bugs in corpus._index.linked_bugs.items() for bug in bugs
+    )
 
 
 def select_dataset(
@@ -242,57 +285,29 @@ def select_dataset(
     NVD.Nbug and Advice.Nbug count vendor bug reports (dated by the
     bug's own published date).
     """
-    version = release.version
-    nvds = _selected_nvds(corpus, version)
+    index = corpus._index
+    nvds = index.nvds_by_version.get(release.version, ())
 
     if kind is DatasetKind.NVD:
-        return {i: r.published for i, r in nvds.items()}
+        return {r.id: r.published for r in nvds}
 
     if kind is DatasetKind.NVD_BUG:
-        return {
-            i: r.published
-            for i, r in nvds.items()
-            if any(corpus.kind_of(x) is RecordKind.BUG for x in r.refs)
-        }
+        return {r.id: r.published for r in nvds if r.id in index.with_bug}
 
     if kind is DatasetKind.NVD_ADVICE:
-        return {
-            i: r.published
-            for i, r in nvds.items()
-            if any(corpus.kind_of(x) is RecordKind.ADVISORY for x in r.refs)
-        }
+        return {r.id: r.published for r in nvds if r.id in index.with_advisory}
 
     if kind is DatasetKind.NVD_NBUG:
-        edges = link_bugs_to_nvd(corpus)
-        bugs = {b for b, n in edges if n in nvds}
+        bugs = (b for r in nvds for b in index.linked_bugs.get(r.id, ()))
         return {b: corpus[b].published for b in bugs}
 
     if kind is DatasetKind.ADVICE_NBUG:
-        out: dict[str, date] = {}
-        for adv in corpus.of_kind(RecordKind.ADVISORY):
-            nvd_refs = {x for x in adv.refs if corpus.kind_of(x) is RecordKind.NVD}
-            linked = bool(nvd_refs & nvds.keys())
-            orphan = release.include_unlinked_advisory_bugs and not nvd_refs
-            if linked or orphan:
-                for x in adv.refs:
-                    if corpus.kind_of(x) is RecordKind.BUG:
-                        out[x] = corpus[x].published
-        return out
+        advisories = {a for r in nvds for a in index.advisories_of.get(r.id, ())}
+        if release.include_unlinked_advisory_bugs:
+            advisories.update(index.orphan_advisories)
+        return {b: corpus[b].published for a in advisories for b in index.bugs_of[a]}
 
     raise ValueError(f"unknown dataset kind {kind!r}")
-
-
-def find_release(
-    releases: Sequence[Release], version: str, product: str | None = None
-) -> Release:
-    matches = [
-        r
-        for r in releases
-        if r.version == version and (product is None or r.product == product)
-    ]
-    if not matches:
-        raise UnknownVersionError(f"no release matches version {version!r} (product {product!r})")
-    return matches[0]
 
 
 def month_end(d: date) -> date:
@@ -467,27 +482,3 @@ def write_series_csv(
                 writer.writerow(
                     [s.product, s.version, s.dataset_kind.value, m, _format_count(c)]
                 )
-
-
-def read_series_csv(path: Union[str, Path]) -> list[ObservationSeries]:
-    """Read a series CSV back; '#' comment lines are skipped."""
-    grouped: dict[tuple[str, str, str], list[tuple[int, float]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows, None)
-        if header is None or tuple(header) != SERIES_CSV_FIELDS:
-            raise ParseError(f"{path}: expected header {','.join(SERIES_CSV_FIELDS)}")
-        for row in rows:
-            if not row:
-                continue
-            product, version, dataset, msr, cum = row
-            grouped.setdefault((product, version, dataset), []).append(
-                (int(msr), float(cum))
-            )
-    kinds = {k.value: k for k in DatasetKind}
-    out = []
-    for (product, version, dataset), points in grouped.items():
-        if dataset not in kinds:
-            raise ParseError(f"{path}: unknown dataset kind {dataset!r}")
-        out.append(ObservationSeries(product, version, kinds[dataset], tuple(points)))
-    return out

@@ -9,12 +9,10 @@ pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, groupby
 from typing import NamedTuple, Sequence
 
 __all__ = [
-    "RankedSample",
     "TestResult",
     "average_ranks",
     "bonferroni",
@@ -150,19 +148,6 @@ def average_ranks(values: Sequence[float]) -> list[float]:
             ranks[order[k]] = mean_rank
         i = j + 1
     return ranks
-
-
-@dataclass(frozen=True)
-class RankedSample:
-    """Values paired with their average ranks inside some pooled ordering."""
-
-    values: tuple[float, ...]
-    ranks: tuple[float, ...]
-
-    @classmethod
-    def from_values(cls, values: Sequence[float]) -> "RankedSample":
-        vals = tuple(float(v) for v in values)
-        return cls(vals, tuple(average_ranks(vals)))
 
 
 class TestResult(NamedTuple):

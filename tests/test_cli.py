@@ -1,5 +1,7 @@
 import csv
 import json
+import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -87,6 +89,27 @@ def test_fit_command_rows_and_summary(world, tmp_path):
         total = sum(v for k, v in by_class.items() if k != "errors")
         assert total == recount[model]
     assert summary["meta"]["dof_convention"] == "n_points_minus_param_count"
+
+
+def test_load_stage_timing_is_logged_and_not_written(world, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="vdmfit")
+    code = run_cli(
+        "fit",
+        "--corpus", world["corpus"],
+        "--releases", world["releases"],
+        "--as-of", world["as_of"],
+        "--datasets", "NVD,NVD.Bug",
+        "--out", tmp_path,
+    )
+    assert code == 0
+    records = sum(1 for line in Path(world["corpus"]).read_text().splitlines() if line)
+    timing = re.compile(
+        rf"{records} records loaded in \d+\.\d{{3}} s; "
+        r"2 series built and 0 skipped in \d+\.\d{3} s$"
+    )
+    assert [m for m in caplog.messages if timing.match(m)], caplog.messages
+    for path in tmp_path.iterdir():
+        assert "loaded in" not in path.read_text(), path
 
 
 def test_exact_linear_world_every_row_good(tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 from datetime import date, timedelta
@@ -16,15 +17,12 @@ from vdmfit.datasets import (
     RecordKind,
     Release,
     SecurityRecord,
-    UnknownVersionError,
     build_series,
     export_corpus,
-    find_release,
     import_corpus,
     link_bugs_to_nvd,
     month_end,
     msr_end,
-    read_series_csv,
     select_dataset,
     write_series_csv,
 )
@@ -165,14 +163,54 @@ def selector_oracle(corpus, kind, release):
 
 
 def test_selectors_match_oracle_on_random_corpora():
+    # every kind for every release on one Corpus, so all calls after the
+    # first read the index the first one built
     rng = random.Random(7)
-    for i in range(30):
-        corpus = random_corpus(rng)
-        release = Release("ff", rng.choice(VERSIONS), date(2005, 1, 1), rng.random() < 0.3)
-        for kind in DatasetKind:
-            assert select_dataset(corpus, kind, release) == selector_oracle(
-                corpus, kind, release
-            ), (i, kind)
+    for i in range(40):
+        records = list(random_corpus(rng))
+        # BX is linked to NX by both rules; the GHOST refs dangle
+        records += [
+            _rec("BX", RecordKind.BUG),
+            _rec("NX", RecordKind.NVD, affects={VERSIONS[0]}, refs={"BX", "GHOST-1"}),
+            _rec("AX", RecordKind.ADVISORY, refs={"BX", "NX", "GHOST-2"}),
+        ]
+        corpus = Corpus(records)
+        assert corpus.dropped_refs == (("NX", "GHOST-1"), ("AX", "GHOST-2"))
+        assert ("BX", "NX") in link_bugs_to_nvd(corpus)
+        releases = [
+            Release("ff", version, date(2005, 1, 1), flag)
+            for version in VERSIONS + ("9.9",)  # no record affects 9.9
+            for flag in (False, True)
+        ]
+        for release in rng.sample(releases, len(releases)):
+            for kind in DatasetKind:
+                assert select_dataset(corpus, kind, release) == selector_oracle(
+                    corpus, kind, release
+                ), (i, kind, release)
+        assert set(link_bugs_to_nvd(corpus)) == brute_force_links(corpus)
+        assert select_dataset(corpus, DatasetKind.NVD, releases[-1]) == {}
+
+
+def test_selectors_never_rescan_the_corpus(monkeypatch):
+    iterations = []
+    records_of = Corpus.__iter__
+
+    def counting_iter(self):
+        iterations.append(1)
+        return records_of(self)
+
+    monkeypatch.setattr(Corpus, "__iter__", counting_iter)
+    corpus = random_corpus(random.Random(5))
+    assert not iterations  # the index is not built at construction
+    release = Release("ff", VERSIONS[0], date(2005, 1, 1))
+    select_dataset(corpus, DatasetKind.NVD, release)
+    assert len(iterations) == 1  # the one pass that builds the index
+    for version in VERSIONS + ("9.9",):
+        for flag in (False, True):
+            for kind in DatasetKind:
+                select_dataset(corpus, kind, Release("ff", version, date(2005, 1, 1), flag))
+    link_bugs_to_nvd(corpus)
+    assert len(iterations) == 1
 
 
 def test_every_nvd_with_bug_ref_degenerates_to_equality():
@@ -271,11 +309,6 @@ def counting_perspective_sizes(corpus, release):
 def test_counting_perspectives_disagree_6_10_14():
     corpus, release = browser_vulnerability_space_corpus()
     assert counting_perspective_sizes(corpus, release) == (6, 10, 14)
-
-
-def test_unknown_version():
-    with pytest.raises(UnknownVersionError):
-        find_release([Release("ff", "1.0", date(2004, 11, 9))], "9.9")
 
 
 # --- MSR timeline ------------------------------------------------------------
@@ -452,5 +485,11 @@ def test_series_csv_round_trip(tmp_path):
     text = path.read_text()
     assert text.startswith("# note: test\n")
     assert "product,version,dataset,msr,cumulative" in text
-    back = read_series_csv(path)
-    assert back == [series]
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+    assert rows == [
+        ["product", "version", "dataset", "msr", "cumulative"],
+        ["ff", "1.0", "NVD.Bug", "1", "0"],
+        ["ff", "1.0", "NVD.Bug", "2", "3"],
+        ["ff", "1.0", "NVD.Bug", "3", "7"],
+    ]

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vdmfit.stats import (
-    RankedSample,
     average_ranks,
     bonferroni,
     chi_square_survival,
@@ -82,12 +81,6 @@ def test_average_ranks_with_ties():
 def test_rank_sum_invariant(values):
     n = len(values)
     assert sum(average_ranks([float(v) for v in values])) == pytest.approx(n * (n + 1) / 2)
-
-
-def test_ranked_sample():
-    rs = RankedSample.from_values([3, 1, 3])
-    assert rs.values == (3.0, 1.0, 3.0)
-    assert rs.ranks == (2.5, 1.0, 2.5)
 
 
 def test_mwu_exact_separated_case():
