@@ -42,8 +42,8 @@ from .datasets import (
     select_dataset,
     write_series_csv,
 )
-from .fitter import FitOptions, fit
-from .gof import FitClass, test_fit
+from .fitter import FitOptions
+from .gof import FitClass
 from .metrics import (
     DEFAULT_START_MSR,
     aggregate_entropy,
@@ -74,8 +74,6 @@ class RunConfig:
     out: str = "out"
     seed: int = 0
     workers: int = 1
-    max_iter: int = 200
-    tol: float = 1e-9
     multistart: int = 3
     as_of: str | None = None
 
@@ -98,11 +96,7 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
 
     def fit_options(self) -> FitOptions:
-        return FitOptions(
-            max_iterations=self.max_iter,
-            relative_sse_tolerance=self.tol,
-            multistart_grid_size=self.multistart,
-        )
+        return FitOptions(multistart_grid_size=self.multistart)
 
     def config_hash(self) -> str:
         # hash the analysis parameters, not file locations or scheduling:
@@ -181,10 +175,18 @@ def _write_json(path: Path, payload: Mapping[str, object], meta: Mapping[str, ob
     log.info("wrote %s", path)
 
 
-def _read_csv_rows(path: str | Path) -> list[dict]:
+def _read_csv(path: str | Path) -> tuple[dict[str, str], list[dict]]:
+    """The ``# key: value`` header lines and the rows of a CSV file."""
+    header = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        return list(reader)
+        lines = []
+        for line in fh:
+            if line.startswith("# "):
+                key, _, value = line[2:].rstrip("\n").partition(": ")
+                header[key] = value
+            elif not line.startswith("#"):
+                lines.append(line)
+        return header, list(csv.DictReader(lines))
 
 
 def _parse_rows(
@@ -265,20 +267,12 @@ def _param_csv(values: Sequence[float]) -> str:
 _FIT_FAILURES = (ValueError, LinAlgError)
 
 
-def _fit_job(payload: tuple[ObservationSeries, str, FitOptions]):
-    series, model_id, options = payload
-    try:
-        outcome = fit(series, model_id, options)
-        return ("ok", outcome, test_fit(series, outcome))
-    except _FIT_FAILURES as exc:  # per-triple failures never abort a sweep
-        return ("error", str(exc), None)
-
-
 def _track_job(payload: tuple[ObservationSeries, str, int, FitOptions]):
+    """Every fit the CLI makes: ``fit`` is the track of the last month."""
     series, model_id, start_msr, options = payload
     try:
         return ("ok", rolling_gof(series, model_id, start_msr, options))
-    except _FIT_FAILURES as exc:
+    except _FIT_FAILURES as exc:  # per-curve failures never abort a sweep
         return ("error", str(exc))
 
 
@@ -304,22 +298,24 @@ def _curve_row(series: ObservationSeries, model_id: str) -> dict:
 def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
     options = cfg.fit_options()
     series_list, failures, meta = _load_series(cfg)
-    payloads = [(s, m, options) for s in series_list for m in cfg.models]
-    results = _run_jobs(_fit_job, payloads, cfg.workers)
+    payloads = [(s, m, s.last_msr, options) for s in series_list for m in cfg.models]
+    results = _run_jobs(_track_job, payloads, cfg.workers)
 
     rows = []
     summary: dict[str, dict[str, int]] = {
         m: {c.value: 0 for c in FitClass} | {"errors": 0} for m in cfg.models
     }
-    for (series, model_id, _), (status, a, b) in zip(payloads, results):
-        row = _curve_row(series, model_id) | {"status": status}
-        if status == "ok":
-            outcome, result = a, b
+    for (series, model_id, *_), (status, outcome) in zip(payloads, results):
+        row = _curve_row(series, model_id)
+        # one month was tracked, last_msr: the whole series
+        result = outcome[0][1] if status == "ok" else None
+        if result is not None:
             row.update(
-                converged=outcome.converged,
-                sse=repr(outcome.sse),
+                status="ok",
+                converged=result.converged,
+                sse=repr(result.sse),
                 param_names=";".join(spec(model_id).param_names),
-                params=_param_csv(outcome.params.values),
+                params=_param_csv(result.params.values),
                 chi2=repr(result.chi_square),
                 dof=result.dof,
                 p_value=repr(result.p_value),
@@ -328,10 +324,13 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
             )
             summary[model_id][result.classification.value] += 1
         else:
-            row["classification"] = ""
+            if status == "ok":
+                outcome = f"series of {len(series.points)} points too short for {model_id}"
+            row.update(status="error", classification="")
             summary[model_id]["errors"] += 1
             log.warning("fit failed for %s %s %s %s: %s",
-                        series.product, series.version, series.dataset_kind.value, model_id, a)
+                        series.product, series.version, series.dataset_kind.value, model_id,
+                        outcome)
         rows.append(row)
     rows.sort(key=lambda r: (r["product"], r["version"], r["dataset"], r["model"]))
 
@@ -350,7 +349,7 @@ TRACK_FIELDS = _CURVE_COLUMNS + (
 )
 
 
-def _track_rows(cfg: RunConfig) -> tuple[list[dict], dict]:
+def cmd_track(cfg: RunConfig, args: argparse.Namespace) -> int:
     options = cfg.fit_options()
     series_list, _, meta = _load_series(cfg)
     payloads = [(s, m, cfg.start_msr, options) for s in series_list for m in cfg.models]
@@ -379,11 +378,6 @@ def _track_rows(cfg: RunConfig) -> tuple[list[dict], dict]:
                 )
             rows.append(row)
     rows.sort(key=lambda r: (r["product"], r["version"], r["dataset"], r["model"], r["msr"]))
-    return rows, meta
-
-
-def cmd_track(cfg: RunConfig, args: argparse.Namespace) -> int:
-    rows, meta = _track_rows(cfg)
     out = _out_dir(cfg)
     _write_csv(out / "track.csv", TRACK_FIELDS, rows, meta)
     return 0
@@ -394,8 +388,6 @@ _RowOutcome = NamedTuple("_RowOutcome", [("classification", FitClass), ("valid",
 
 
 def _parse_valid(value: object) -> bool:
-    if isinstance(value, bool):
-        return value
     if value not in ("True", "False"):
         raise ValueError(f"valid must be True or False, got {value!r}")
     return value == "True"
@@ -450,13 +442,20 @@ def _cmd_metric(cfg: RunConfig, args: argparse.Namespace, which: str) -> int:
         "entropy": ("dataset", "beta", aggregate_entropy),
         "quality": ("model", "omega", aggregate_quality),
     }[which]
-    if args.track:
-        rows = _read_csv_rows(args.track)
-        meta = cfg.metadata()
-    else:
-        rows, meta = _track_rows(cfg)
+    header, rows = _read_csv(args.track)
+    # the metric pools the track file's months, so the track's cutoff and
+    # first month describe its data, not this command's defaults
+    meta = cfg.metadata()
+    try:
+        meta |= {
+            key: parse(header[key])
+            for key, parse in (("as_of", str), ("start_msr", int))
+            if key in header
+        }
+    except ValueError as exc:
+        raise ValueError(f"{args.track}: bad header: {exc}") from None
     group_by = args.group_by or default_group_by
-    matrices = _state_matrices(rows, group_by, args.track or "track rows")
+    matrices = _state_matrices(rows, group_by, args.track)
     if not matrices:
         raise ValueError("no usable state sequences (is the track data empty?)")
 
@@ -503,7 +502,7 @@ def _metric_point(row: Mapping[str, object]) -> tuple[str, float]:
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
-    rows = _read_csv_rows(args.series)
+    _, rows = _read_csv(args.series)
     groups: dict[str, list[float]] = {}
     for group, value in _parse_rows(rows, args.series, ("group", "value"), _metric_point):
         groups.setdefault(group, []).append(value)
@@ -634,8 +633,6 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory (default: out)")
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--tol", type=float)
     p.add_argument("--multistart", type=int)
     p.add_argument("--as-of", dest="as_of", help="observation cutoff date YYYY-MM-DD")
 
@@ -672,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} series and medians from rolling states")
         _add_shared_flags(p)
         p.set_defaults(run=run)
-        p.add_argument("--track", help="track.csv from a previous run (default: recompute)")
+        p.add_argument("--track", required=True, help="track.csv written by the track command")
         p.add_argument(
             "--group-by",
             dest="group_by",

@@ -196,9 +196,6 @@ class Corpus:
     def __iter__(self) -> Iterator[SecurityRecord]:
         return iter(self._records.values())
 
-    def __contains__(self, record_id: str) -> bool:
-        return record_id in self._records
-
     def __getitem__(self, record_id: str) -> SecurityRecord:
         return self._records[record_id]
 

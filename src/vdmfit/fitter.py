@@ -17,9 +17,11 @@ The iteration is damped Gauss-Newton (Levenberg-Marquardt damping
 schedule) on the analytic gradients, launched from a data-driven
 multistart grid. Out-of-domain steps are projected back onto the
 parameter box, so log arguments and the AML denominator stay valid
-throughout. The best (lowest-SSE) launch wins; exact ties break to the
-lexicographically smallest parameter vector, which makes the result
-independent of launch order.
+throughout. A launch stops after _MAX_ITERATIONS (200) iterations, or
+is converged at the first iteration that lowers the SSE by at most
+_RELATIVE_SSE_TOLERANCE (1e-9) of it. The best (lowest-SSE) launch
+wins; exact ties break to the lexicographically smallest parameter
+vector, which makes the result independent of launch order.
 """
 
 from __future__ import annotations
@@ -52,21 +54,22 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class FitOptions:
-    max_iterations: int = 200
-    relative_sse_tolerance: float = 1e-9
+    """The fit setting a run chooses: the multistart grid has
+    ``multistart_grid_size`` nodes on each launch axis of AML, RE and LP
+    (AT, LN and RQ are fit in closed form). The iteration limit and the
+    SSE tolerance are the module's constants."""
+
     multistart_grid_size: int = 3
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.relative_sse_tolerance <= 0:
-            raise ValueError("relative_sse_tolerance must be positive")
         if self.multistart_grid_size < 1:
             raise ValueError("multistart_grid_size must be >= 1")
 
 
 DEFAULT_OPTIONS = FitOptions()
 
+_MAX_ITERATIONS = 200
+_RELATIVE_SSE_TOLERANCE = 1e-9
 _BOUND_EPS = 1e-12
 _DAMPING_INIT = 1e-3
 _DAMPING_FACTOR = 10.0
@@ -153,7 +156,6 @@ def _levenberg_marquardt(
     x0: Sequence[float],
     lo: np.ndarray,
     hi: np.ndarray,
-    options: FitOptions,
 ) -> tuple[np.ndarray, float, bool, int, tuple]:
     """Damped Gauss-Newton from x0 inside the box [lo, hi].
 
@@ -175,7 +177,7 @@ def _levenberg_marquardt(
     converged = sse == 0.0
     iterations = 0
 
-    while not converged and iterations < options.max_iterations:
+    while not converged and iterations < _MAX_ITERATIONS:
         iterations += 1
         jac = jacobian(x, state)
         grad = jac.T @ r
@@ -202,7 +204,7 @@ def _levenberg_marquardt(
         x, state = candidate, new_state
         r = state[0]
         damping = max(damping / _DAMPING_FACTOR, _DAMPING_MIN)
-        if improvement <= options.relative_sse_tolerance * max(sse, _TINY_SSE):
+        if improvement <= _RELATIVE_SSE_TOLERANCE * max(sse, _TINY_SSE):
             converged = True
         sse = sse_new
 
@@ -236,7 +238,6 @@ def _separable_fit(
     k0: float,
     lo: np.ndarray,
     hi: np.ndarray,
-    options: FitOptions,
 ) -> tuple[np.ndarray, float, bool, int]:
     """Variable projection for a curve a*phi(k, t): the damped iteration
     runs on the rate k alone, and the amplitude a is solved at every k."""
@@ -252,7 +253,7 @@ def _separable_fit(
         return (d - phi * ((phi @ d) / (phi @ phi)))[:, None]
 
     z, sse, converged, iterations, state = _levenberg_marquardt(
-        trial, jacobian, [k0], lo[1:], hi[1:], options
+        trial, jacobian, [k0], lo[1:], hi[1:]
     )
     a = lo[0] if state[0] is None else state[3]
     return np.array([a, z[0]]), sse, converged, iterations
@@ -298,7 +299,7 @@ def fit(
     if len(mspec.launch) < mspec.param_count:
         # the amplitude of a start is solved, not searched: one launch per rate
         rates = sorted({float(np.clip(x0[1], lo[1], hi[1])) for x0 in starts})
-        runs = (_separable_fit(model_id, t, y, k, lo, hi, options) for k in rates)
+        runs = (_separable_fit(model_id, t, y, k, lo, hi) for k in rates)
     else:
         def trial(x):
             return _residuals(model_id, x, t, y)
@@ -306,7 +307,7 @@ def fit(
         def jacobian(x, _):
             return models.gradient(model_id, x, t)
 
-        runs = (_levenberg_marquardt(trial, jacobian, x0, lo, hi, options)[:4] for x0 in starts)
+        runs = (_levenberg_marquardt(trial, jacobian, x0, lo, hi)[:4] for x0 in starts)
 
     best = None
     best_key = None

@@ -82,17 +82,6 @@ class FitResult:
     converged: bool
     sse: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model_id,
-            "params": list(self.params.values),
-            "chi2": self.chi_square,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "classification": self.classification.value,
-            "valid": self.valid,
-        }
-
 
 def test_fit(series: ObservationSeries, outcome: FitOutcome) -> FitResult:
     """Chi-square test of a fit outcome against its series.

@@ -183,6 +183,49 @@ def test_track_and_metric_commands(world, tmp_path):
     assert summary["group_by"] == "model"
 
 
+def test_metric_metadata_comes_from_the_track_file(world, tmp_path):
+    out = tmp_path / "m"
+    assert run_cli(
+        "track",
+        "--corpus", world["corpus"],
+        "--releases", world["releases"],
+        "--as-of", world["as_of"],
+        "--datasets", "NVD",
+        "--models", "LN",
+        "--start-msr", "11",
+        "--out", out,
+    ) == 0
+    for metric in ("entropy", "quality"):
+        assert run_cli(metric, "--track", out / "track.csv", "--out", out) == 0
+        meta = read_json(out / f"{metric}_summary.json")["meta"]
+        assert meta["start_msr"] == 11
+        assert meta["as_of"] == world["as_of"]
+    with open(out / "entropy_beta1.csv") as fh:
+        header = [line for line in fh if line.startswith("#")]
+    assert "# start_msr: 11\n" in header
+    assert f"# as_of: {world['as_of']}\n" in header
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fits_are_the_last_month_of_the_track(world, tmp_path, workers):
+    shared = ("--corpus", world["corpus"], "--releases", world["releases"],
+              "--as-of", world["as_of"], "--datasets", "NVD,NVD.Bug", "--workers", workers)
+    assert run_cli("fit", *shared, "--out", tmp_path) == 0
+    assert run_cli("track", *shared, "--start-msr", "22", "--out", tmp_path) == 0
+    columns = ("classification", "p_value", "chi2", "valid", "converged", "sse")
+    fits = read_csv(tmp_path / "fits.csv")
+    last = {
+        (r["version"], r["dataset"], r["model"]): r
+        for r in read_csv(tmp_path / "track.csv")
+        if r["msr"] == "24"
+    }
+    assert len(fits) == len(last) == 12
+    for row in fits:
+        assert row["status"] == "ok"
+        tracked = last[(row["version"], row["dataset"], row["model"])]
+        assert [row[c] for c in columns] == [tracked[c] for c in columns]
+
+
 def test_failed_track_curve_keeps_its_months_as_error_rows(world, tmp_path, monkeypatch):
     import vdmfit.cli as cli
 
@@ -213,17 +256,14 @@ def test_failed_track_curve_keeps_its_months_as_error_rows(world, tmp_path, monk
     def values(path):
         return [(r["group"], r["msr"], r["value"]) for r in read_csv(path)]
 
-    # error months are absent: entropy and quality pool the LN curves only,
-    # from the file and from the in-process rows alike
+    # error months are absent: entropy and quality pool the LN curves only
     assert run_cli("entropy", "--track", tmp_path / "ln" / "track.csv", "--out", tmp_path / "e_ln") == 0
     assert run_cli("entropy", "--track", out / "track.csv", "--out", tmp_path / "e_file") == 0
-    assert run_cli("entropy", *shared, "--models", "LN,RE", "--out", tmp_path / "e_mem") == 0
     for name in ("entropy_beta1.csv", "entropy_beta2.csv"):
         expected = values(tmp_path / "e_ln" / name)
         assert expected
         assert values(tmp_path / "e_file" / name) == expected
-        assert values(tmp_path / "e_mem" / name) == expected
-    assert run_cli("quality", *shared, "--models", "LN,RE", "--out", tmp_path / "q") == 0
+    assert run_cli("quality", "--track", out / "track.csv", "--out", tmp_path / "q") == 0
     assert {r["group"] for r in read_csv(tmp_path / "q" / "quality_omega1.csv")} == {"LN"}
 
 
@@ -233,30 +273,21 @@ def test_quality_all_good_world_is_one(tmp_path):
             "--out", sim, "--emit-corpus")
     as_of = read_json(sim / "manifest.json")["as_of"]
     out = tmp_path / "m"
-    run_cli(
-        "quality",
+    assert run_cli(
+        "track",
         "--corpus", sim / "corpus.ndjson",
         "--releases", sim / "releases.json",
         "--as-of", as_of,
         "--models", "LN",
         "--datasets", "NVD",
-        "--omega", "2",
         "--out", out,
-    )
+    ) == 0
+    assert run_cli("quality", "--track", out / "track.csv", "--omega", "2", "--out", out) == 0
     rows = read_csv(out / "quality_omega2.csv")
     assert rows
     assert all(float(r["value"]) == 1.0 for r in rows)
 
-    run_cli(
-        "entropy",
-        "--corpus", sim / "corpus.ndjson",
-        "--releases", sim / "releases.json",
-        "--as-of", as_of,
-        "--models", "LN",
-        "--datasets", "NVD",
-        "--beta", "1",
-        "--out", out,
-    )
+    assert run_cli("entropy", "--track", out / "track.csv", "--beta", "1", "--out", out) == 0
     erows = read_csv(out / "entropy_beta1.csv")
     assert erows
     assert all(float(r["value"]) == 0.0 for r in erows)
@@ -443,6 +474,11 @@ def test_errors_exit_nonzero(tmp_path, caplog):
     assert run_cli("import", "--corpus", bad, "--out", tmp_path) == 1
     assert run_cli("fit", "--corpus", bad, "--releases", bad, "--out", tmp_path,
                    "--models", "") == 1
+    # the metrics read a track file and never refit
+    for metric in ("entropy", "quality"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(metric, "--corpus", bad, "--releases", bad, "--out", tmp_path)
+        assert exc.value.code != 0
     # out-of-range metric weights are rejected up front
     assert run_cli("entropy", "--track", bad, "--beta", "0.5", "--out", tmp_path) == 1
     assert run_cli("quality", "--track", bad, "--omega", "0.9", "--out", tmp_path) == 1
@@ -458,13 +494,17 @@ def test_errors_exit_nonzero(tmp_path, caplog):
     lower.write_text(header + "".join(f"p,1,NVD,LN,{m},ok,GoodFit,0.99,1.0,true\n" for m in (6, 7)))
     assert run_cli("quality", "--track", lower, "--out", tmp_path) == 1
     assert f"{lower}: row 1: valid must be True or False" in caplog.text
+    bad_header = tmp_path / "bad_header_track.csv"
+    bad_header.write_text("# start_msr: six\n" + header + "p,1,NVD,LN,6,ok,GoodFit,0.99,1.0,True\n")
+    assert run_cli("entropy", "--track", bad_header, "--out", tmp_path) == 1
+    assert f"{bad_header}: bad header:" in caplog.text
     no_value = tmp_path / "no_value.csv"
     no_value.write_text("group,msr\na,7\nb,7\n")
     assert run_cli("compare", "--series", no_value, "--out", tmp_path) == 1
     assert f"{no_value}: row 1: missing column(s) value" in caplog.text
 
 
-def test_per_triple_failures_recorded_without_aborting(world, tmp_path):
+def test_per_triple_failures_recorded_without_aborting(world, tmp_path, caplog):
     # a 4-month window leaves too few points for the 3-parameter model;
     # its row records the error, the other models still fit
     releases = json.loads(Path(world["releases"]).read_text())
@@ -488,6 +528,9 @@ def test_per_triple_failures_recorded_without_aborting(world, tmp_path):
     assert rows["LN"]["status"] == "ok"
     summary = read_json(out / "fit_summary.json")
     assert summary["classification_counts_by_model"]["AML"]["errors"] == 1
+    version = releases[0]["version"]
+    assert f"fit failed for synthetic {version} NVD AML: series of 3 points too short for AML" \
+        in caplog.messages
 
 
 def test_workers_flag_gives_identical_output(world, tmp_path):

@@ -24,8 +24,6 @@ def _series(points):
 
 def test_fit_options_validation():
     with pytest.raises(ValueError):
-        FitOptions(max_iterations=0)
-    with pytest.raises(ValueError):
         FitOptions(multistart_grid_size=0)
 
 

