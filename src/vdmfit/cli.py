@@ -175,8 +175,10 @@ def _write_json(path: Path, payload: Mapping[str, object], meta: Mapping[str, ob
     log.info("wrote %s", path)
 
 
-def _read_csv(path: str | Path) -> tuple[dict[str, str], list[dict]]:
-    """The ``# key: value`` header lines and the rows of a CSV file."""
+def _read_csv(cfg: RunConfig, path: str | Path) -> tuple[dict, list[dict]]:
+    """The metadata for what a command writes from a CSV file, and the
+    file's rows. The file's ``# key: value`` header gives ``as_of`` and
+    ``start_msr``: they describe its data, not the command's defaults."""
     header = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = []
@@ -186,7 +188,16 @@ def _read_csv(path: str | Path) -> tuple[dict[str, str], list[dict]]:
                 header[key] = value
             elif not line.startswith("#"):
                 lines.append(line)
-        return header, list(csv.DictReader(lines))
+        rows = list(csv.DictReader(lines))
+    try:
+        meta = cfg.metadata() | {
+            key: parse(header[key])
+            for key, parse in (("as_of", str), ("start_msr", int))
+            if key in header
+        }
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad header: {exc}") from None
+    return meta, rows
 
 
 def _parse_rows(
@@ -442,18 +453,7 @@ def _cmd_metric(cfg: RunConfig, args: argparse.Namespace, which: str) -> int:
         "entropy": ("dataset", "beta", aggregate_entropy),
         "quality": ("model", "omega", aggregate_quality),
     }[which]
-    header, rows = _read_csv(args.track)
-    # the metric pools the track file's months, so the track's cutoff and
-    # first month describe its data, not this command's defaults
-    meta = cfg.metadata()
-    try:
-        meta |= {
-            key: parse(header[key])
-            for key, parse in (("as_of", str), ("start_msr", int))
-            if key in header
-        }
-    except ValueError as exc:
-        raise ValueError(f"{args.track}: bad header: {exc}") from None
+    meta, rows = _read_csv(cfg, args.track)
     group_by = args.group_by or default_group_by
     matrices = _state_matrices(rows, group_by, args.track)
     if not matrices:
@@ -502,7 +502,7 @@ def _metric_point(row: Mapping[str, object]) -> tuple[str, float]:
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
-    _, rows = _read_csv(args.series)
+    meta, rows = _read_csv(cfg, args.series)
     groups: dict[str, list[float]] = {}
     for group, value in _parse_rows(rows, args.series, ("group", "value"), _metric_point):
         groups.setdefault(group, []).append(value)
@@ -559,7 +559,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
             "corrected_alpha": corrected_alpha,
             "pairwise_mann_whitney": pairwise,
         },
-        cfg.metadata(),
+        meta,
     )
     return 0
 

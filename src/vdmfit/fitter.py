@@ -1,17 +1,21 @@
 """Least-squares estimation of VDM parameters.
 
-A family's row in :mod:`vdmfit.models` names the parameters the fitter
-iterates on (its ``launch`` axes); the others are solved exactly. AT, LN
-and RQ are linear in all their parameters: one least-squares solve on
-their basis is the optimum. RE and LP are linear in their amplitude
-(N, beta0) and are fit by variable projection (Golub & Pereyra 1973):
-at every rate the amplitude is the exact least-squares coefficient on
-the unit-amplitude curve, clipped to its box, and the iteration runs on
-the rate alone with Kaufman's projected derivative. This removes the
-N*lambda (beta0*beta1) ridge along which a two-parameter iteration
-drifts on s-shaped or near-linear data; a rate at the floor of its box
-means the linear limit, the best line through the origin. AML is
-iterated on all three parameters.
+Every family is fit by one path, variable projection (Golub & Pereyra
+1973). A family's row in :mod:`vdmfit.models` names the parameters the
+fitter iterates on, z (its trailing ``launch`` axes); the leading ones
+are solved exactly at every z, by least squares on their basis (their
+Jacobian columns at unit amplitude), clipped to their box. The damped
+iteration runs on z alone, with Kaufman's (1975) projected derivative:
+each iterated column of the Jacobian projected off the basis.
+
+- AT, LN and RQ are linear in all their parameters: z is empty, so the
+  one solve is the optimum, converged after 0 iterations.
+- RE and LP solve their amplitude (N, beta0) and iterate on the rate.
+  This removes the N*lambda (beta0*beta1) ridge along which a
+  two-parameter iteration drifts on s-shaped or near-linear data; a
+  rate at the floor of its box means the linear limit, the best line
+  through the origin.
+- AML solves nothing and is iterated on all three parameters.
 
 The iteration is damped Gauss-Newton (Levenberg-Marquardt damping
 schedule) on the analytic gradients, launched from a data-driven
@@ -56,8 +60,8 @@ class InsufficientDataError(ValueError):
 class FitOptions:
     """The fit setting a run chooses: the multistart grid has
     ``multistart_grid_size`` nodes on each launch axis of AML, RE and LP
-    (AT, LN and RQ are fit in closed form). The iteration limit and the
-    SSE tolerance are the module's constants."""
+    (AT, LN and RQ iterate on nothing). The iteration limit and the SSE
+    tolerance are the module's constants."""
 
     multistart_grid_size: int = 3
 
@@ -92,25 +96,18 @@ def _series_arrays(series: ObservationSeries) -> tuple[np.ndarray, np.ndarray]:
     return t, y
 
 
-def _residuals(
-    model_id: str, x: Sequence[float], t: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray | None, float]:
-    """Residuals and SSE at x; (None, inf) when the curve is not evaluable
-    there."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = y - models.evaluate(model_id, x, t)
-            return r, float(r @ r)
-    except DomainError:
-        return None, float("inf")
-
-
 def sum_squared_error(
     series: ObservationSeries, model_id: str, values: Sequence[float]
 ) -> float:
     """SSE of the model curve against the series, inf when the curve is
     not evaluable at these parameters."""
-    return _residuals(model_id, values, *_series_arrays(series))[1]
+    t, y = _series_arrays(series)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = y - models.evaluate(model_id, values, t)
+            return float(r @ r)
+    except DomainError:
+        return math.inf
 
 
 def _domain_arrays(model_id: str) -> tuple[np.ndarray, np.ndarray]:
@@ -126,8 +123,9 @@ def _domain_arrays(model_id: str) -> tuple[np.ndarray, np.ndarray]:
 def initial_guesses(
     series: ObservationSeries, model_id: str, grid_size: int
 ) -> list[tuple[float, ...]]:
-    """The launches ``fit`` makes: one point per node of the multistart
-    grid over the family's ``launch`` axes, grid_size**len(launch) points.
+    """The default starts of ``fit``: one point per node of the
+    multistart grid over the family's ``launch`` axes,
+    grid_size**len(launch) points.
 
     The asymptote axis (AML B) spans [max_count, 3*max_count]; the rate
     axis (AML A, RE lambda, LP beta1) spans [1e-3, 1] log-spaced; the
@@ -164,7 +162,7 @@ def _levenberg_marquardt(
     ``jacobian(x, trial(x))`` is the derivative of the curve with respect
     to x. Returns x, its SSE, whether the SSE test was met, the
     iterations used and the trial at x; a start whose SSE is not finite
-    (inf or NaN) is returned unmoved.
+    (inf or NaN) is returned unmoved, and an empty x is converged at once.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     state = trial(x)
@@ -174,7 +172,7 @@ def _levenberg_marquardt(
         return x, sse, False, 0, state
     damping = _DAMPING_INIT
     eye = np.eye(x.size)
-    converged = sse == 0.0
+    converged = sse == 0.0 or x.size == 0
     iterations = 0
 
     while not converged and iterations < _MAX_ITERATIONS:
@@ -211,52 +209,54 @@ def _levenberg_marquardt(
     return x, sse, converged, iterations, state
 
 
-def _projected(
-    model_id: str, k: float, t: np.ndarray, y: np.ndarray, lo: float, hi: float
-) -> tuple:
-    """Residuals and SSE at rate k of the unit-amplitude curve phi times
-    its least-squares amplitude a, clipped to [lo, hi]; then phi and a.
-    (None, inf, None, None) when the curve is not evaluable at k or the
-    SSE is not finite."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            phi = models.evaluate(model_id, (1.0, k), t)
-            a = float(np.clip((phi @ y) / (phi @ phi), lo, hi))
-            # a * phi is bitwise the curve at (a, k), so this is the SSE
-            # of the returned params
-            r = y - a * phi
-            sse = float(r @ r)
-    except DomainError:
-        sse = math.inf
-    return (r, sse, phi, a) if math.isfinite(sse) else (None, math.inf, None, None)
+def _projection(
+    model_id: str, n_solved: int, t: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[Callable[[np.ndarray], tuple], Callable[[np.ndarray, tuple], np.ndarray]]:
+    """``trial`` and ``jacobian`` of the damped loop on z, the parameters
+    after the leading ``n_solved``.
 
-
-def _separable_fit(
-    model_id: str,
-    t: np.ndarray,
-    y: np.ndarray,
-    k0: float,
-    lo: np.ndarray,
-    hi: np.ndarray,
-) -> tuple[np.ndarray, float, bool, int]:
-    """Variable projection for a curve a*phi(k, t): the damped iteration
-    runs on the rate k alone, and the amplitude a is solved at every k."""
+    ``trial(z)`` is the residuals, the SSE, the full parameter vector with
+    the solved parameters at their clipped least-squares values, and the
+    basis, one row per solved parameter; (None, inf, the solved
+    parameters at their floor, ()) when the curve is not evaluable at z
+    or the SSE is not finite.
+    """
+    ones = np.ones(n_solved)
 
     def trial(z):
-        return _projected(model_id, float(z[0]), t, y, lo[0], hi[0])
+        x = np.concatenate((ones, z))
+        basis = ()
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                if n_solved:
+                    basis = models.gradient(model_id, x, t)[:, :n_solved].T.copy()
+                    if n_solved == 1:
+                        (phi,) = basis
+                        coef = (phi @ y) / (phi @ phi)
+                    else:
+                        coef = np.linalg.lstsq(basis.T, y, rcond=None)[0]
+                    x[:n_solved] = np.clip(coef, lo[:n_solved], hi[:n_solved])
+                # one amplitude times its basis is bitwise the curve
+                curve = x[0] * basis[0] if n_solved == 1 else models.evaluate(model_id, x, t)
+                r = y - curve
+                sse = float(r @ r)
+        except DomainError:
+            sse = math.inf
+        if not math.isfinite(sse):
+            return None, math.inf, np.concatenate((lo[:n_solved], z)), ()
+        return r, sse, x, basis
 
     def jacobian(z, state):
-        # column 1 of the gradient at (a, k) is a * dphi/dk; Kaufman's
-        # derivative projects it off phi, the direction a already spans
-        _, _, phi, a = state
-        d = models.gradient(model_id, (a, z[0]), t)[:, 1]
-        return (d - phi * ((phi @ d) / (phi @ phi)))[:, None]
+        _, _, x, basis = state
+        jac = models.gradient(model_id, x, t)[:, n_solved:]
+        if n_solved:
+            # Kaufman: an iterating row solves one parameter, so each
+            # column is projected off that one basis vector
+            (phi,) = basis
+            jac = np.stack([d - phi * ((phi @ d) / (phi @ phi)) for d in jac.T], axis=1)
+        return jac
 
-    z, sse, converged, iterations, state = _levenberg_marquardt(
-        trial, jacobian, [k0], lo[1:], hi[1:]
-    )
-    a = lo[0] if state[0] is None else state[3]
-    return np.array([a, z[0]]), sse, converged, iterations
+    return trial, jacobian
 
 
 def fit(
@@ -269,12 +269,13 @@ def fit(
 
     ``starts`` overrides the default multistart grid (useful for refits
     and tests). Only the parameters the family iterates on matter in a
-    start: for AT, LN and RQ, fit in closed form, the starts are ignored
-    and the outcome is converged after 0 iterations; for RE and LP each
-    distinct rate is one launch, and the amplitude is solved at every
-    rate. Raises InsufficientDataError when the series has fewer than
-    param_count + 1 points; a fit that never reached the SSE tolerance
-    is returned with converged=False rather than raised.
+    start: each distinct clipped z-part of the starts is one launch, and
+    the solved parameters are solved at every z. So AT, LN and RQ make
+    one launch whatever the starts, converged after 0 iterations. Raises
+    ValueError when ``starts`` is empty, for every family, and
+    InsufficientDataError when the series has fewer than param_count + 1
+    points; a fit that never reached the SSE tolerance is returned with
+    converged=False rather than raised.
     """
     options = options or DEFAULT_OPTIONS
     mspec = models.spec(model_id)
@@ -283,41 +284,24 @@ def fit(
             f"{model_id} needs at least {mspec.param_count + 1} points, "
             f"series has {len(series.points)}"
         )
-    t, y = _series_arrays(series)
-    if not mspec.launch:
-        # linear in every parameter: the Jacobian at the one launch point
-        # is the basis, and one least-squares solve is the optimum
-        (x0,) = initial_guesses(series, model_id, 1)
-        x, *_ = np.linalg.lstsq(models.gradient(model_id, x0, t), y, rcond=None)
-        return FitOutcome(ParamVector(model_id, tuple(x)), _residuals(model_id, x, t, y)[1], True, 0)
-    lo, hi = _domain_arrays(model_id)
     if starts is None:
         starts = initial_guesses(series, model_id, options.multistart_grid_size)
     if not starts:
         raise ValueError("no starting points")
-
-    if len(mspec.launch) < mspec.param_count:
-        # the amplitude of a start is solved, not searched: one launch per rate
-        rates = sorted({float(np.clip(x0[1], lo[1], hi[1])) for x0 in starts})
-        runs = (_separable_fit(model_id, t, y, k, lo, hi) for k in rates)
-    else:
-        def trial(x):
-            return _residuals(model_id, x, t, y)
-
-        def jacobian(x, _):
-            return models.gradient(model_id, x, t)
-
-        runs = (_levenberg_marquardt(trial, jacobian, x0, lo, hi)[:4] for x0 in starts)
+    t, y = _series_arrays(series)
+    lo, hi = _domain_arrays(model_id)
+    n = mspec.param_count - len(mspec.launch)
+    trial, jacobian = _projection(model_id, n, t, y, lo, hi)
+    launches = sorted({tuple(np.clip(np.asarray(x0, dtype=float)[n:], lo[n:], hi[n:]).tolist())
+                       for x0 in starts})
 
     best = None
-    best_key = None
-    for x, sse, conv, iters in runs:
-        # NaN compares false against everything and would freeze the
-        # running best; rank it like +inf instead
-        key = (sse if sse == sse else float("inf"), tuple(x))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (x, sse, conv, iters)
+    for z0 in launches:
+        _, sse, conv, iters, state = _levenberg_marquardt(trial, jacobian, z0, lo[n:], hi[n:])
+        # a trial reports a non-finite SSE as inf, so keys always order
+        key = (sse, tuple(state[2]))
+        if best is None or key < best[0]:
+            best = (key, conv, iters)
 
-    x, sse, conv, iters = best
-    return FitOutcome(ParamVector(model_id, tuple(x)), sse, conv, iters)
+    (sse, x), conv, iters = best
+    return FitOutcome(ParamVector(model_id, x), sse, conv, iters)

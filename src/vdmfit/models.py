@@ -22,12 +22,14 @@ the parameters the fitter iterates on. Adding a family means adding one
 row; ``evaluate``, ``gradient``, ``default_domain``, ``ParamVector`` and
 the fitter all read the row.
 
+The fitter has one path for every row (variable projection): it solves
+the parameters before the launch axes exactly and iterates on the rest.
 AT, LN and RQ are linear in all their parameters, so their rows name no
-launch axis and the fitter solves them in closed form. RE and LP are
-linear in their amplitude (N, beta0); their rows name only the rate
-axis, and the fitter solves the amplitude exactly at every rate. A rate
-at the floor of its box is the linear limit: as lambda (beta1) -> 0 both
-curves tend to the line (N*lambda)*t ((beta0*beta1)*t).
+launch axis and the one solve is the fit. RE and LP are linear in their
+amplitude (N, beta0); their rows name only the rate axis. AML names an
+axis for each parameter and solves none. A rate at the floor of its box
+is the linear limit: as lambda (beta1) -> 0 both curves tend to the line
+(N*lambda)*t ((beta0*beta1)*t).
 """
 
 from __future__ import annotations
@@ -73,10 +75,11 @@ class ModelSpec:
     ``gradient``. ``launch`` names one multistart axis ("rate", "asym"
     or "level", see ``fitter.initial_guesses``) for each of the trailing
     ``len(launch)`` parameters, the ones the fitter iterates on; the
-    fitter solves every parameter before them exactly. ``launch == ()``
-    marks a curve linear in all its parameters (one least-squares solve);
-    a rate axis after one amplitude marks ``curve((a, k), t) == a *
-    curve((1, k), t)`` (variable projection on the rate).
+    fitter solves every parameter before them exactly. It relies on the
+    curve being those parameters times their Jacobian columns at unit
+    amplitude, bit for bit for one amplitude (``curve((a, k), t) == a *
+    jacobian((1, k), t)[:, 0]``), and on a row that iterates solving at
+    most one parameter.
     """
 
     id: str
@@ -92,7 +95,7 @@ class ModelSpec:
 
 
 def _columns(*cols) -> np.ndarray:
-    return np.stack(np.broadcast_arrays(*cols), axis=-1)
+    return np.stack(cols, axis=-1)
 
 
 def _aml_terms(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

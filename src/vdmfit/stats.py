@@ -225,7 +225,6 @@ def mann_whitney_u(
         p = _mwu_exact(r_a, n_a, n_b, alternative)
         return TestResult(u_a, p, "exact enumeration")
 
-    warnings = ()
     mu = n_a * n_b / 2.0
     sigma2 = (n_a * n_b / 12.0) * ((n + 1) - _tie_term(sorted(pooled)) / (n * (n - 1)))
     if sigma2 <= 0.0:
@@ -240,9 +239,7 @@ def mann_whitney_u(
     else:
         z = max(abs(u_a - mu) - 0.5, 0.0) / sigma
         p = min(1.0, 2.0 * (1.0 - _norm_cdf(z)))
-    return TestResult(
-        u_a, p, "normal approximation, tie-corrected, continuity-corrected", warnings
-    )
+    return TestResult(u_a, p, "normal approximation, tie-corrected, continuity-corrected")
 
 
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:

@@ -190,7 +190,7 @@ def test_metric_metadata_comes_from_the_track_file(world, tmp_path):
         "--corpus", world["corpus"],
         "--releases", world["releases"],
         "--as-of", world["as_of"],
-        "--datasets", "NVD",
+        "--datasets", "NVD,NVD.Bug",
         "--models", "LN",
         "--start-msr", "11",
         "--out", out,
@@ -204,6 +204,11 @@ def test_metric_metadata_comes_from_the_track_file(world, tmp_path):
         header = [line for line in fh if line.startswith("#")]
     assert "# start_msr: 11\n" in header
     assert f"# as_of: {world['as_of']}\n" in header
+    # compare reads the metric file's header the same way
+    assert run_cli("compare", "--series", out / "entropy_beta1.csv", "--out", out) == 0
+    meta = read_json(out / "compare.json")["meta"]
+    assert meta["start_msr"] == 11
+    assert meta["as_of"] == world["as_of"]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from vdmfit import fitter
 from vdmfit.datasets import DatasetKind, ObservationSeries
 from vdmfit.fitter import (
     FitOptions,
@@ -194,10 +195,27 @@ def test_separable_fit_reaches_the_linear_limit_off_the_ridge():
     assert fit(series, "RE").converged
 
 
-def test_separable_fit_launches_once_per_rate():
-    # starts that differ only in their amplitude are one launch
+def test_separable_fit_launches_once_per_rate(monkeypatch):
+    # a launch is a distinct clipped point of the iterated parameters:
+    # starts that differ only in their solved amplitude are one launch
+    launched = []
+    run = fitter._levenberg_marquardt
+
+    def counted(trial, jacobian, x0, lo, hi):
+        launched.append(tuple(x0))
+        return run(trial, jacobian, x0, lo, hi)
+
+    monkeypatch.setattr(fitter, "_levenberg_marquardt", counted)
     series = exact_series("RE", (80.0, 0.07), 36)
     rates = (1e-3, 0.1, 1.0)
     one = fit(series, "RE", starts=[(50.0, k) for k in rates])
+    launched.clear()
     many = fit(series, "RE", starts=[(a, k) for a in (1.0, 50.0, 1e4) for k in rates])
     assert one == many
+    assert launched == [(k,) for k in rates]
+    # AML iterates on all its parameters: starts that clip to the same
+    # point (C at the floor of its box) are one launch
+    launched.clear()
+    fit(exact_series("AML", (0.01, 60.0, 0.9), 30), "AML",
+        starts=[(0.01, 50.0, -1.0), (0.01, 50.0, 0.0), (0.01, 50.0, 1.0)])
+    assert len(launched) == 2

@@ -35,18 +35,23 @@ def test_registry_is_exhaustive_and_consistent():
         assert spec.jacobian(np.full(spec.param_count, 0.5), t).shape == (t.size, spec.param_count)
         assert len(spec.launch) <= spec.param_count
         assert set(spec.launch) <= {"rate", "asym", "level"}
-        if not spec.launch:
-            # linear in every parameter: the Jacobian is the basis, the
-            # same at any parameters, which the closed-form fit relies on
-            assert np.array_equal(spec.jacobian(np.full(spec.param_count, 0.5), t),
-                                  spec.jacobian(np.full(spec.param_count, -3e6), t))
-        elif len(spec.launch) < spec.param_count:
-            # one solved amplitude times the unit-amplitude curve of the
-            # iterated rate, bit for bit
-            assert spec.param_count == 2 and spec.launch == ("rate",)
-            for a, k in ((3.7, 0.05), (1e12, 1e-12)):
-                assert np.array_equal(spec.curve(np.array([a, k]), t),
-                                      a * spec.curve(np.array([1.0, k]), t))
+        n_solved = spec.param_count - len(spec.launch)
+        if spec.launch:
+            # the projected Jacobian projects off one solved basis vector
+            assert n_solved <= 1
+        # the rule the fitter relies on: the curve is the Jacobian columns
+        # of the solved parameters at unit amplitude times their values,
+        # bit for bit for one amplitude
+        cases = (((3.7, -0.4), 0.05), ((1e12, 2.0), 1e-12)) if n_solved else ()
+        for amplitudes, rate in cases:
+            a = np.array(amplitudes[:n_solved])
+            z = np.full(len(spec.launch), rate)
+            basis = spec.jacobian(np.concatenate((np.ones(n_solved), z)), t)[:, :n_solved]
+            curve = spec.curve(np.concatenate((a, z)), t)
+            if n_solved == 1:
+                assert np.array_equal(curve, a[0] * basis[:, 0]), mid
+            else:
+                np.testing.assert_allclose(curve, basis @ a, rtol=1e-12, err_msg=mid)
         for grid_size in (1, 2, 3):
             assert len(initial_guesses(series, mid, grid_size)) == grid_size ** len(spec.launch)
     with pytest.raises(UnknownModelError):
