@@ -6,6 +6,10 @@ progress and warnings go to stderr. Output is deterministic for a fixed
 config and inputs: no timestamps, sorted keys everywhere, and every
 output file carries a metadata block with the config hash, the dof
 convention and the beta/omega settings, so reruns are byte-identical.
+
+``fit`` and ``track`` share one curve loop and one row builder: ``fit``
+is the track of the last month. The metric commands carry ``as_of``,
+``start_msr`` and ``config_hash`` over from the file they read.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from numpy.linalg import LinAlgError
 
@@ -40,17 +44,10 @@ from .datasets import (
     import_releases,
     msr_end,
     select_dataset,
-    write_series_csv,
 )
 from .fitter import FitOptions
-from .gof import FitClass
-from .metrics import (
-    DEFAULT_START_MSR,
-    aggregate_entropy,
-    aggregate_quality,
-    rolling_gof,
-    states_from_results,
-)
+from .gof import FitClass, FitResult
+from .metrics import DEFAULT_START_MSR, aggregate_entropy, aggregate_quality, rolling_gof
 from .models import MODEL_IDS, spec
 from .simulate import NoiseKind, NoiseSpec, corpus_records_from_series, generate
 from .stats import bonferroni, kruskal_wallis, mann_whitney_u
@@ -177,8 +174,9 @@ def _write_json(path: Path, payload: Mapping[str, object], meta: Mapping[str, ob
 
 def _read_csv(cfg: RunConfig, path: str | Path) -> tuple[dict, list[dict]]:
     """The metadata for what a command writes from a CSV file, and the
-    file's rows. The file's ``# key: value`` header gives ``as_of`` and
-    ``start_msr``: they describe its data, not the command's defaults."""
+    file's rows. The file's ``# key: value`` header gives ``as_of``,
+    ``start_msr`` and ``config_hash``: they describe its data, not the
+    command's defaults."""
     header = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = []
@@ -192,7 +190,7 @@ def _read_csv(cfg: RunConfig, path: str | Path) -> tuple[dict, list[dict]]:
     try:
         meta = cfg.metadata() | {
             key: parse(header[key])
-            for key, parse in (("as_of", str), ("start_msr", int))
+            for key, parse in (("as_of", str), ("start_msr", int), ("config_hash", str))
             if key in header
         }
     except ValueError as exc:
@@ -294,146 +292,131 @@ def _run_jobs(func, payloads: Sequence, workers: int) -> list:
         return list(pool.map(func, payloads))
 
 
+def _fit_curves(cfg: RunConfig, start_msr: int | None) -> tuple[list, list[dict], dict]:
+    """Every (series, model) curve in (product, version, dataset, model)
+    order with its (msr, FitResult | None) months from ``start_msr`` on
+    (None: the last month), plus the skipped series and the metadata.
+    Failed curves are logged, and keep their months without a result."""
+    options = cfg.fit_options()
+    series_list, skipped, meta = _load_series(cfg)
+    payloads = [
+        (s, m, s.last_msr if start_msr is None else start_msr, options)
+        for s in sorted(series_list, key=ObservationSeries.key)
+        for m in sorted(cfg.models)
+    ]
+    results = _run_jobs(_track_job, payloads, cfg.workers)
+    curves = []
+    for (series, model_id, first, _), (status, months) in zip(payloads, results):
+        error = None
+        if status == "error":
+            error, months = months, [(m, None) for m in range(first, series.last_msr + 1)]
+        elif months and months[-1][1] is None:
+            error = f"series of {len(series.points)} points too short for {model_id}"
+        if error is not None:
+            log.warning("fit failed for %s %s %s %s: %s", *series.key(), model_id, error)
+        curves.append((series, model_id, months))
+    return curves, skipped, meta
+
+
 # the columns that name a curve, first in every fits.csv and track.csv row
 _CURVE_COLUMNS = ("product", "version", "dataset", "model")
 FIT_FIELDS = _CURVE_COLUMNS + (
     "status", "converged", "sse", "param_names", "params", "chi2", "dof", "p_value",
     "classification", "valid",
 )
-
-
-def _curve_row(series: ObservationSeries, model_id: str) -> dict:
-    return dict(zip(_CURVE_COLUMNS, series.key() + (model_id,)))
-
-
-def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
-    options = cfg.fit_options()
-    series_list, failures, meta = _load_series(cfg)
-    payloads = [(s, m, s.last_msr, options) for s in series_list for m in cfg.models]
-    results = _run_jobs(_track_job, payloads, cfg.workers)
-
-    rows = []
-    summary: dict[str, dict[str, int]] = {
-        m: {c.value: 0 for c in FitClass} | {"errors": 0} for m in cfg.models
-    }
-    for (series, model_id, *_), (status, outcome) in zip(payloads, results):
-        row = _curve_row(series, model_id)
-        # one month was tracked, last_msr: the whole series
-        result = outcome[0][1] if status == "ok" else None
-        if result is not None:
-            row.update(
-                status="ok",
-                converged=result.converged,
-                sse=repr(result.sse),
-                param_names=";".join(spec(model_id).param_names),
-                params=_param_csv(result.params.values),
-                chi2=repr(result.chi_square),
-                dof=result.dof,
-                p_value=repr(result.p_value),
-                classification=result.classification.value,
-                valid=result.valid,
-            )
-            summary[model_id][result.classification.value] += 1
-        else:
-            if status == "ok":
-                outcome = f"series of {len(series.points)} points too short for {model_id}"
-            row.update(status="error", classification="")
-            summary[model_id]["errors"] += 1
-            log.warning("fit failed for %s %s %s %s: %s",
-                        series.product, series.version, series.dataset_kind.value, model_id,
-                        outcome)
-        rows.append(row)
-    rows.sort(key=lambda r: (r["product"], r["version"], r["dataset"], r["model"]))
-
-    out = _out_dir(cfg)
-    _write_csv(out / "fits.csv", FIT_FIELDS, rows, meta)
-    _write_json(
-        out / "fit_summary.json",
-        {"classification_counts_by_model": summary, "skipped_series": failures},
-        meta,
-    )
-    return 0
-
-
 TRACK_FIELDS = _CURVE_COLUMNS + (
     "msr", "status", "classification", "p_value", "chi2", "valid", "converged", "sse",
 )
 
 
-def cmd_track(cfg: RunConfig, args: argparse.Namespace) -> int:
-    options = cfg.fit_options()
-    series_list, _, meta = _load_series(cfg)
-    payloads = [(s, m, cfg.start_msr, options) for s in series_list for m in cfg.models]
-    results = _run_jobs(_track_job, payloads, cfg.workers)
+def _result_row(series: ObservationSeries, model_id: str, result: FitResult | None) -> dict:
+    """The curve and result columns of a fits.csv or track.csv row; a
+    month without a result is an error row whose other columns are empty."""
+    row = dict(zip(_CURVE_COLUMNS, series.key() + (model_id,)))
+    if result is None:
+        return row | {"status": "error"}
+    return row | {
+        "status": "ok",
+        "classification": result.classification.value,
+        "p_value": repr(result.p_value),
+        "chi2": repr(result.chi_square),
+        "valid": result.valid,
+        "converged": result.converged,
+        "sse": repr(result.sse),
+    }
 
+
+def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
+    curves, skipped, meta = _fit_curves(cfg, None)
     rows = []
-    for (series, model_id, start_msr, _), (status, outcome) in zip(payloads, results):
-        if status == "error":
-            # a failed curve still gets its months, each without a state
-            log.warning("track failed for %s %s: %s", series.key(), model_id, outcome)
-            outcome = [(msr, None) for msr in range(start_msr, series.last_msr + 1)]
-        for msr, result in outcome:
-            row = _curve_row(series, model_id) | {"msr": msr}
-            if result is None:
-                row.update(status="error", classification="", p_value="", chi2="", valid="",
-                           converged="", sse="")
-            else:
-                row.update(
-                    status="ok",
-                    classification=result.classification.value,
-                    p_value=repr(result.p_value),
-                    chi2=repr(result.chi_square),
-                    valid=result.valid,
-                    converged=result.converged,
-                    sse=repr(result.sse),
-                )
-            rows.append(row)
-    rows.sort(key=lambda r: (r["product"], r["version"], r["dataset"], r["model"], r["msr"]))
+    summary: dict[str, dict[str, int]] = {
+        m: {c.value: 0 for c in FitClass} | {"errors": 0} for m in cfg.models
+    }
+    # one month was tracked, last_msr: the whole series
+    for series, model_id, [(_, result)] in curves:
+        row = _result_row(series, model_id, result)
+        if result is None:
+            summary[model_id]["errors"] += 1
+        else:
+            row.update(
+                param_names=";".join(spec(model_id).param_names),
+                params=_param_csv(result.params.values),
+                dof=result.dof,
+            )
+            summary[model_id][result.classification.value] += 1
+        rows.append(row)
+
     out = _out_dir(cfg)
-    _write_csv(out / "track.csv", TRACK_FIELDS, rows, meta)
+    _write_csv(out / "fits.csv", FIT_FIELDS, rows, meta)
+    _write_json(
+        out / "fit_summary.json",
+        {"classification_counts_by_model": summary, "skipped_series": skipped},
+        meta,
+    )
     return 0
 
 
-# the part of a FitResult that a track row keeps
-_RowOutcome = NamedTuple("_RowOutcome", [("classification", FitClass), ("valid", bool)])
-
-
-def _parse_valid(value: object) -> bool:
-    if value not in ("True", "False"):
-        raise ValueError(f"valid must be True or False, got {value!r}")
-    return value == "True"
+def cmd_track(cfg: RunConfig, args: argparse.Namespace) -> int:
+    curves, _, meta = _fit_curves(cfg, cfg.start_msr)
+    rows = [
+        _result_row(series, model_id, result) | {"msr": msr}
+        for series, model_id, months in curves
+        for msr, result in months
+    ]
+    _write_csv(_out_dir(cfg) / "track.csv", TRACK_FIELDS, rows, meta)
+    return 0
 
 
 _STATE_COLUMNS = _CURVE_COLUMNS + ("msr", "status", "classification", "valid")
 
 
-def _track_state(row: Mapping[str, object]) -> tuple[tuple[str, ...], int, _RowOutcome | None]:
-    """(curve key, msr, outcome) of one track row; error months have no
-    outcome."""
+def _track_state(row: Mapping[str, object]) -> tuple[tuple[str, ...], int, FitClass | None]:
+    """(curve key, msr, state) of one track row: an invalid test is
+    NotFit, and an error month has no state."""
     status = row["status"]
     if status not in ("ok", "error"):
         raise ValueError(f"status must be ok or error, got {status!r}")
-    outcome = None
+    state = None
     if status == "ok":
-        outcome = _RowOutcome(FitClass(row["classification"]), _parse_valid(row["valid"]))
+        state = FitClass(row["classification"])
+        if row["valid"] not in ("True", "False"):
+            raise ValueError(f"valid must be True or False, got {row['valid']!r}")
+        if row["valid"] == "False":
+            state = FitClass.NOT_FIT
     curve = tuple(str(row[c]) for c in _CURVE_COLUMNS)
-    return curve, int(row["msr"]), outcome
+    return curve, int(row["msr"]), state
 
 
 def _state_matrices(
     rows: Sequence[Mapping[str, object]], group_by: str, source: str
 ) -> dict[str, dict[str, dict[int, FitClass]]]:
-    """group -> curve -> msr -> state, each curve's states from
-    ``metrics.states_from_results``; curves without a state are left out."""
-    by_curve: dict[tuple[str, ...], list] = {}
-    for curve, msr, outcome in _parse_rows(rows, source, _STATE_COLUMNS, _track_state):
-        by_curve.setdefault(curve, []).append((msr, outcome))
+    """group -> curve -> msr -> state; curves without a state are left
+    out."""
     group_index = _CURVE_COLUMNS.index(group_by)
     groups: dict[str, dict[str, dict[int, FitClass]]] = {}
-    for curve, results in by_curve.items():
-        states = states_from_results(results)
-        if states:
-            groups.setdefault(curve[group_index], {})["|".join(curve)] = states
+    for curve, msr, state in _parse_rows(rows, source, _STATE_COLUMNS, _track_state):
+        if state is not None:
+            groups.setdefault(curve[group_index], {}).setdefault("|".join(curve), {})[msr] = state
     return groups
 
 
@@ -584,8 +567,10 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
         "noise": args.noise,
         "magnitude": args.magnitude,
     }
-    write_series_csv(out / "series.csv", [series], meta)
-    log.info("wrote %s", out / "series.csv")
+    columns = ("product", "version", "dataset", "msr", "cumulative")
+    # simulated counts are whole numbers
+    rows = (dict(zip(columns, series.key() + (m, int(c)))) for m, c in series.points)
+    _write_csv(out / "series.csv", columns, rows, meta)
 
     if args.emit_corpus:
         release = Release(args.product, version, date.fromisoformat(args.release_date))

@@ -22,7 +22,6 @@ release's nvd list plus its output, not the size of the corpus.
 from __future__ import annotations
 
 import calendar
-import csv
 import json
 import logging
 import math
@@ -56,7 +55,6 @@ __all__ = [
     "month_end",
     "msr_end",
     "select_dataset",
-    "write_series_csv",
 ]
 
 
@@ -450,32 +448,3 @@ def export_releases(releases: Sequence[Release], path: Union[str, Path]) -> None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-SERIES_CSV_FIELDS = ("product", "version", "dataset", "msr", "cumulative")
-
-
-def _format_count(c: float) -> str:
-    return str(int(c)) if c == int(c) else repr(c)
-
-
-def write_series_csv(
-    path: Union[str, Path],
-    series_list: Sequence[ObservationSeries],
-    metadata: Mapping[str, object] | None = None,
-) -> None:
-    """Series CSV with header product,version,dataset,msr,cumulative.
-
-    Optional metadata is written as '# key: value' comment lines before
-    the header.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key in sorted(metadata or {}):
-            fh.write(f"# {key}: {metadata[key]}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SERIES_CSV_FIELDS)
-        for s in series_list:
-            for m, c in s.points:
-                writer.writerow(
-                    [s.product, s.version, s.dataset_kind.value, m, _format_count(c)]
-                )

@@ -14,6 +14,11 @@ jumps, omega discounts inconclusive fits as 1/omega of a good fit.
 Series summaries carry the grand median plus first-half / second-half
 medians (a stable group shows a second-half median at or below the
 first).
+
+A curve's state at month m is the classification of its rolling fit
+there; ``gof.test_fit`` already classifies an invalid test as NotFit,
+and a month without a fit has no state. The aggregates take one
+msr -> state mapping per curve, which the CLI reads from a track file.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ __all__ = [
     "median",
     "quality_at",
     "rolling_gof",
-    "states_from_results",
 ]
 
 # observation starts at the sixth month after release
@@ -217,17 +221,3 @@ def rolling_gof(
             result = None
         out.append((m, result))
     return out
-
-
-def states_from_results(
-    results: Iterable[tuple[int, FitResult | None]]
-) -> dict[int, FitClass]:
-    """State sequence for the transition model: invalid tests count as
-    NotFit, months without a result are absent. Only the results'
-    ``classification`` and ``valid`` fields are read."""
-    states: dict[int, FitClass] = {}
-    for m, res in results:
-        if res is None:
-            continue
-        states[m] = FitClass.NOT_FIT if not res.valid else res.classification
-    return states

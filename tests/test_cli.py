@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from vdmfit.cli import main
+from vdmfit.simulate import NoiseKind, NoiseSpec, generate
 
 
 def run_cli(*argv):
@@ -20,6 +21,11 @@ def read_csv(path):
 
 def read_json(path):
     return json.loads(Path(path).read_text())
+
+
+def read_header(path):
+    with open(path) as fh:
+        return dict(line[2:].rstrip("\n").split(": ", 1) for line in fh if line.startswith("# "))
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +60,20 @@ def test_simulate_writes_series_and_corpus(world):
     assert int(rows[-1]["msr"]) == 24
     assert (world["root"] / "corpus.ndjson").exists()
     assert (world["root"] / "releases.json").exists()
+
+
+def test_simulate_series_csv_header_columns_and_counts(world):
+    lines = (world["root"] / "series.csv").read_text().splitlines()
+    meta = [line for line in lines if line.startswith("#")]
+    assert lines[: len(meta)] == meta == sorted(meta)
+    assert {"# model: RE", "# params: 60.0;0.08", "# noise: multiplicative",
+            "# magnitude: 0.02", "# seed: 11"} <= set(meta)
+    assert lines[len(meta)] == "product,version,dataset,msr,cumulative"
+    rows = list(csv.reader(lines[len(meta) + 1 :]))
+    series = generate("RE", (60.0, 0.08), 24, NoiseSpec(NoiseKind.MULTIPLICATIVE, 0.02, 11))
+    assert rows == [
+        ["synthetic", "RE", "NVD", str(m), str(int(c))] for m, c in series.points
+    ]
 
 
 def test_import_summary(world, tmp_path):
@@ -195,20 +215,39 @@ def test_metric_metadata_comes_from_the_track_file(world, tmp_path):
         "--start-msr", "11",
         "--out", out,
     ) == 0
+    track_hash = read_header(out / "track.csv")["config_hash"]
     for metric in ("entropy", "quality"):
         assert run_cli(metric, "--track", out / "track.csv", "--out", out) == 0
         meta = read_json(out / f"{metric}_summary.json")["meta"]
         assert meta["start_msr"] == 11
         assert meta["as_of"] == world["as_of"]
+        assert meta["config_hash"] == track_hash
     with open(out / "entropy_beta1.csv") as fh:
         header = [line for line in fh if line.startswith("#")]
     assert "# start_msr: 11\n" in header
     assert f"# as_of: {world['as_of']}\n" in header
+    assert f"# config_hash: {track_hash}\n" in header
     # compare reads the metric file's header the same way
     assert run_cli("compare", "--series", out / "entropy_beta1.csv", "--out", out) == 0
     meta = read_json(out / "compare.json")["meta"]
     assert meta["start_msr"] == 11
     assert meta["as_of"] == world["as_of"]
+    assert meta["config_hash"] == track_hash
+    # a track of other models pools into metric files with another hash
+    other = tmp_path / "other"
+    assert run_cli(
+        "track",
+        "--corpus", world["corpus"],
+        "--releases", world["releases"],
+        "--as-of", world["as_of"],
+        "--datasets", "NVD,NVD.Bug",
+        "--models", "LN,RQ",
+        "--start-msr", "11",
+        "--out", other,
+    ) == 0
+    assert run_cli("entropy", "--track", other / "track.csv", "--out", other) == 0
+    other_hash = read_header(other / "entropy_beta1.csv")["config_hash"]
+    assert other_hash == read_header(other / "track.csv")["config_hash"] != track_hash
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -300,7 +339,8 @@ def test_quality_all_good_world_is_one(tmp_path):
 
 def test_entropy_from_hand_built_state_file(tmp_path):
     # two curves, three observation steps, states chosen so the pooled
-    # transition counts are (u,s,b) = (2,0,0) then (0,1,1)
+    # transition counts are (u,s,b) = (2,0,0) then (0,1,1); a third curve
+    # has only month 6, an invalid test, so it adds no transition
     track = tmp_path / "track.csv"
     with open(track, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -315,6 +355,7 @@ def test_entropy_from_hand_built_state_file(tmp_path):
         for (curve,), seq in states.items():
             for msr, cls in zip((6, 7, 8), seq):
                 writer.writerow(["p", curve, "NVD", "LN", msr, "ok", cls, "0.5", "1.0", "True"])
+        writer.writerow(["p", "c3", "NVD", "LN", 6, "ok", "GoodFit", "0.5", "1.0", "False"])
     out = tmp_path / "out"
     code = run_cli("entropy", "--track", track, "--beta", "1,2", "--out", out)
     assert code == 0
@@ -330,9 +371,10 @@ def test_entropy_from_hand_built_state_file(tmp_path):
     assert code == 0
     rows = read_csv(out / "quality_omega2.csv")
     values = {int(r["msr"]): float(r["value"]) for r in rows}
-    # month 6: one GoodFit + one Inconclusive of two -> (1 + 0.5)/2
+    # month 6: one GoodFit, one Inconclusive and the invalid test, which
+    # counts as NotFit whatever its classification -> (1 + 0.5)/3
     assert values == {
-        6: pytest.approx(0.75),
+        6: pytest.approx(0.5),
         7: pytest.approx(0.75),
         8: pytest.approx(0.0),
     }
@@ -539,22 +581,11 @@ def test_per_triple_failures_recorded_without_aborting(world, tmp_path, caplog):
 
 
 def test_workers_flag_gives_identical_output(world, tmp_path):
-    outs = []
-    for workers, sub in ((1, "w1"), (2, "w2")):
-        out = tmp_path / sub
-        code = run_cli(
-            "fit",
-            "--corpus", world["corpus"],
-            "--releases", world["releases"],
-            "--as-of", world["as_of"],
-            "--datasets", "NVD",
-            "--models", "LN,RE,RQ",
-            "--workers", workers,
-            "--out", out,
-        )
-        assert code == 0
-        outs.append((out / "fits.csv").read_bytes())
-    a, b = outs
-    # config hash differs (out path differs); compare data rows only
-    strip = lambda blob: [ln for ln in blob.split(b"\n") if not ln.startswith(b"#")]
-    assert strip(a) == strip(b)
+    shared = ("--corpus", world["corpus"], "--releases", world["releases"],
+              "--as-of", world["as_of"], "--datasets", "NVD", "--models", "LN,RE,RQ")
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert run_cli("fit", *shared, "--workers", workers, "--out", out) == 0
+        assert run_cli("track", *shared, "--workers", workers, "--out", out) == 0
+    for name in ("fits.csv", "fit_summary.json", "track.csv"):
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name

@@ -1,4 +1,3 @@
-import csv
 import json
 import random
 from datetime import date, timedelta
@@ -24,7 +23,6 @@ from vdmfit.datasets import (
     month_end,
     msr_end,
     select_dataset,
-    write_series_csv,
 )
 
 VERSIONS = ("1.0", "2.0", "3.6")
@@ -474,22 +472,3 @@ def test_duplicate_release_rejected(tmp_path):
     export_releases(releases, path)
     with pytest.raises(DuplicateIdError):
         import_releases(path)
-
-
-def test_series_csv_round_trip(tmp_path):
-    series = ObservationSeries(
-        "ff", "1.0", DatasetKind.NVD_BUG, ((1, 0.0), (2, 3.0), (3, 7.0))
-    )
-    path = tmp_path / "series.csv"
-    write_series_csv(path, [series], metadata={"note": "test"})
-    text = path.read_text()
-    assert text.startswith("# note: test\n")
-    assert "product,version,dataset,msr,cumulative" in text
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
-    assert rows == [
-        ["product", "version", "dataset", "msr", "cumulative"],
-        ["ff", "1.0", "NVD.Bug", "1", "0"],
-        ["ff", "1.0", "NVD.Bug", "2", "3"],
-        ["ff", "1.0", "NVD.Bug", "3", "7"],
-    ]

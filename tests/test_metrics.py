@@ -15,7 +15,6 @@ from vdmfit.metrics import (
     median,
     quality_at,
     rolling_gof,
-    states_from_results,
 )
 from vdmfit.simulate import NoiseKind, NoiseSpec, exact_series, generate
 
@@ -245,18 +244,3 @@ def test_rolling_gof_matches_independent_prefix_refits():
         assert res is not None
         assert independent.classification is res.classification
         assert independent.p_value == pytest.approx(res.p_value)
-
-
-def test_states_from_results_maps_invalid_to_notfit():
-    series = exact_series("LN", (2.0, 3.0), 8)
-    results = rolling_gof(series, "LN")
-    states = states_from_results(results)
-    assert set(states.values()) == {FitClass.GOOD_FIT}
-    from vdmfit.gof import FitResult
-    from vdmfit.models import ParamVector
-
-    fake = FitResult(
-        "LN", ParamVector("LN", (1.0, -5.0)), float("inf"), 4, 0.0, FitClass.NOT_FIT, valid=False,
-        converged=True, sse=0.0,
-    )
-    assert states_from_results([(6, fake), (7, None)]) == {6: FitClass.NOT_FIT}
