@@ -244,3 +244,28 @@ def test_rolling_gof_matches_independent_prefix_refits():
         assert res is not None
         assert independent.classification is res.classification
         assert independent.p_value == pytest.approx(res.p_value)
+
+
+def test_states_from_results_maps_invalid_to_notfit():
+    # a curve's states are read back from its track rows: an invalid test
+    # is NotFit whatever its classification, a month without a result has
+    # no state
+    from vdmfit.cli import _result_row, _track_state
+    from vdmfit.gof import FitResult
+    from vdmfit.models import ParamVector
+
+    def states(series, results):
+        rows = [
+            {k: str(v) for k, v in (_result_row(series, "LN", res) | {"msr": m}).items()}
+            for m, res in results
+        ]
+        parsed = [_track_state(row) for row in rows]
+        return {msr: state for _, msr, state in parsed if state is not None}
+
+    series = exact_series("LN", (2.0, 3.0), 8)
+    assert set(states(series, rolling_gof(series, "LN")).values()) == {FitClass.GOOD_FIT}
+    fake = FitResult(
+        "LN", ParamVector("LN", (1.0, -5.0)), float("inf"), 4, 0.0, FitClass.GOOD_FIT, valid=False,
+        converged=True, sse=0.0,
+    )
+    assert states(series, [(6, fake), (7, None)]) == {6: FitClass.NOT_FIT}
