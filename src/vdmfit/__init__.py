@@ -30,4 +30,4 @@ from .metrics import (  # noqa: F401
 )
 from .models import MODEL_IDS, MODELS, ModelSpec, ParamVector, default_domain, evaluate, gradient  # noqa: F401
 from .simulate import NoiseKind, NoiseSpec, exact_series, generate  # noqa: F401
-from .stats import bonferroni, kruskal_wallis, mann_whitney_u, regularized_lower_incomplete_gamma  # noqa: F401
+from .stats import bonferroni, kruskal_wallis, mann_whitney_u  # noqa: F401

@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -83,10 +84,10 @@ class RunConfig:
             spec(m)
         for d in self.datasets:
             DatasetKind(d)
-        if not self.beta or any(b < 1.0 for b in self.beta):
-            raise ValueError("beta weights must be >= 1")
-        if not self.omega or any(w < 1.0 for w in self.omega):
-            raise ValueError("omega weights must be >= 1")
+        if not self.beta or not all(math.isfinite(b) and b >= 1.0 for b in self.beta):
+            raise ValueError("beta weights must be finite and >= 1")
+        if not self.omega or not all(math.isfinite(w) and w >= 1.0 for w in self.omega):
+            raise ValueError("omega weights must be finite and >= 1")
         if self.start_msr < 1:
             raise ValueError("start_msr must be >= 1")
         if self.workers < 1:
@@ -117,7 +118,17 @@ class RunConfig:
         }
 
 
-_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}  # strings: annotations are postponed
+# the JSON values a config file may give a RunConfig field of each type
+_JSON_SCALARS = {"str": str, "str | None": (str, type(None)), "int": int, "float": (int, float)}
+
+
+def _config_value_ok(value: object, annotation: str) -> bool:
+    """Whether a config file's value fits the RunConfig field annotated
+    ``annotation``: one of _JSON_SCALARS, or a ``list[...]`` of one."""
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(_config_value_ok(v, annotation[5:-1]) for v in value)
+    return isinstance(value, _JSON_SCALARS[annotation]) and not isinstance(value, bool)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -128,11 +139,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError(f"{config_path}: config must be a JSON object")
-        unknown = set(loaded) - set(_CONFIG_KEYS)
+        unknown = set(loaded) - set(_CONFIG_TYPES)
         if unknown:
             raise ValueError(f"{config_path}: unknown config keys {sorted(unknown)}")
+        for key, value in loaded.items():
+            if not _config_value_ok(value, _CONFIG_TYPES[key]):
+                raise ValueError(f"{config_path}: config key {key!r} must be {_CONFIG_TYPES[key]}")
         data.update(loaded)
-    for key in _CONFIG_KEYS:
+    for key in _CONFIG_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
@@ -520,7 +534,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
                 "a": a,
                 "b": b,
                 "alternative": args.alternative,
-                **res.to_json_dict(),
+                **res._asdict(),
                 "corrected_alpha": corrected_alpha,
                 "null_hypothesis": decision,
             }
@@ -537,7 +551,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
         out / "compare.json",
         {
             "groups": {g: len(groups[g]) for g in names},
-            "kruskal_wallis": kw.to_json_dict(),
+            "kruskal_wallis": kw._asdict(),
             "alpha": args.alpha,
             "corrected_alpha": corrected_alpha,
             "pairwise_mann_whitney": pairwise,

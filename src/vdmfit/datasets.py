@@ -347,6 +347,16 @@ def build_series(
 
 
 _KIND_BY_NAME = {k.value: k for k in RecordKind}
+_JSON_TYPE_NAMES = {str: "a string", list: "an array of strings", bool: "true or false"}
+
+
+def _json_field(obj: dict, key: str, kind: type, default: object = None) -> object:
+    """``obj[key]`` (``default`` when given and the key is absent), which
+    must be a ``kind``: a str, a bool, or a list of strings."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, kind) or kind is list and not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
 def _record_from_json(obj: dict, where: str) -> SecurityRecord:
@@ -354,8 +364,8 @@ def _record_from_json(obj: dict, where: str) -> SecurityRecord:
         rid = obj["id"]
         kind = _KIND_BY_NAME[obj["kind"]]
         published = date.fromisoformat(obj["published"])
-        affects = frozenset(obj.get("affects", ()))
-        refs = frozenset(obj.get("refs", ()))
+        affects = frozenset(_json_field(obj, "affects", list, []))
+        refs = frozenset(_json_field(obj, "refs", list, []))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
     if not isinstance(rid, str) or not rid:
@@ -366,7 +376,8 @@ def _record_from_json(obj: dict, where: str) -> SecurityRecord:
 def import_corpus(path: Union[str, Path]) -> Corpus:
     """Read a newline-delimited JSON corpus file.
 
-    One record per line: {"id", "kind", "published", "affects", "refs"}.
+    One record per line: {"id", "kind", "published", "affects", "refs"},
+    where ``affects`` and ``refs`` (optional) are arrays of strings.
     Raises ParseError with the offending line number, DuplicateIdError
     on repeated ids; dangling refs are dropped with a warning.
     """
@@ -404,6 +415,10 @@ def export_corpus(corpus: Corpus, path: Union[str, Path]) -> None:
 
 
 def import_releases(path: Union[str, Path]) -> list[Release]:
+    """Read a JSON array of releases: ``product`` and ``version`` are
+    strings, ``include_unlinked_advisory_bugs`` (optional) is a boolean.
+    Raises ParseError naming the release index, DuplicateIdError on a
+    repeated (product, version)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -416,11 +431,11 @@ def import_releases(path: Union[str, Path]) -> list[Release]:
         try:
             releases.append(
                 Release(
-                    product=obj["product"],
-                    version=obj["version"],
+                    product=_json_field(obj, "product", str),
+                    version=_json_field(obj, "version", str),
                     release_date=date.fromisoformat(obj["release_date"]),
-                    include_unlinked_advisory_bugs=bool(
-                        obj.get("include_unlinked_advisory_bugs", False)
+                    include_unlinked_advisory_bugs=_json_field(
+                        obj, "include_unlinked_advisory_bugs", bool, False
                     ),
                 )
             )

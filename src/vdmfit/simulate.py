@@ -145,19 +145,13 @@ def exact_series(
     )
 
 
-def corpus_records_from_series(
-    series: ObservationSeries,
-    release: Release,
-    *,
-    with_bugs: bool = True,
-    with_advisories: bool = True,
-) -> list[SecurityRecord]:
+def corpus_records_from_series(series: ObservationSeries, release: Release) -> list[SecurityRecord]:
     """Records whose NVD dataset reproduces the series counts exactly.
 
     Each month's increment becomes that many nvd entries published on
-    the month's end date. With bugs enabled every nvd entry references
-    one bug (same date); with advisories enabled each (nvd, bug) pair is
-    clustered by one advisory, so all five dataset kinds are populated.
+    the month's end date. Every nvd entry references one bug (same
+    date), and each (nvd, bug) pair is clustered by one advisory, so all
+    five dataset kinds are populated.
     """
     records: list[SecurityRecord] = []
     tag = f"{release.product}-{release.version}"
@@ -168,26 +162,19 @@ def corpus_records_from_series(
         for _ in range(int(count) - prev):
             serial += 1
             nvd_id = f"NVD-{tag}-{serial:05d}"
-            nvd_refs = set()
-            bug_id = None
-            if with_bugs:
-                bug_id = f"BUG-{tag}-{serial:05d}"
-                nvd_refs.add(bug_id)
-                records.append(SecurityRecord(bug_id, RecordKind.BUG, day))
-            if with_advisories:
-                adv_id = f"ADV-{tag}-{serial:05d}"
-                nvd_refs.add(adv_id)
-                adv_refs = {nvd_id} | ({bug_id} if bug_id else set())
-                records.append(
-                    SecurityRecord(adv_id, RecordKind.ADVISORY, day, refs=frozenset(adv_refs))
-                )
+            bug_id = f"BUG-{tag}-{serial:05d}"
+            adv_id = f"ADV-{tag}-{serial:05d}"
+            records.append(SecurityRecord(bug_id, RecordKind.BUG, day))
+            records.append(
+                SecurityRecord(adv_id, RecordKind.ADVISORY, day, refs=frozenset({nvd_id, bug_id}))
+            )
             records.append(
                 SecurityRecord(
                     nvd_id,
                     RecordKind.NVD,
                     day,
                     affects=frozenset({release.version}),
-                    refs=frozenset(nvd_refs),
+                    refs=frozenset({bug_id, adv_id}),
                 )
             )
         prev = int(count)

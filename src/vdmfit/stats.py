@@ -1,9 +1,9 @@
 """Self-contained statistical kernels.
 
-Regularized incomplete gamma (backs the chi-square p-values), average
-ranks with tie handling, Mann-Whitney U, Kruskal-Wallis and the
-Bonferroni correction. No external stats dependency; everything is a
-pure function.
+The chi-square upper tail for whole-number degrees of freedom (backs
+the fit p-values and Kruskal-Wallis), average ranks with tie handling,
+Mann-Whitney U, Kruskal-Wallis and the Bonferroni correction. No
+external stats dependency; everything is a pure function.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ __all__ = [
     "chi_square_survival",
     "kruskal_wallis",
     "mann_whitney_u",
-    "regularized_lower_incomplete_gamma",
-    "regularized_upper_incomplete_gamma",
 ]
 
 _MACHEP = 2.220446049250313e-16
@@ -31,107 +29,46 @@ _MAX_ITER = 2000
 MWU_EXACT_LIMIT = 12
 
 
-def _igam_prefactor(s: float, x: float) -> float:
-    # x^s * exp(-x) / Gamma(s), computed in log space to dodge overflow
-    return math.exp(s * math.log(x) - x - math.lgamma(s))
-
-
-def _lower_series(s: float, x: float) -> float:
-    # power series for P(s,x), effective for x < s+1
-    ax = _igam_prefactor(s, x)
-    if ax == 0.0:
-        return 0.0
-    r = s
-    c = 1.0
-    total = 1.0
-    for _ in range(_MAX_ITER):
-        r += 1.0
-        c *= x / r
-        total += c
-        if c <= _MACHEP * total:
-            break
-    return total * ax / s
-
-
-def _upper_continued_fraction(s: float, x: float) -> float:
-    # Lentz-style continued fraction for Q(s,x), effective for x >= s+1
-    ax = _igam_prefactor(s, x)
-    if ax == 0.0:
-        return 0.0
-    big = 4.503599627370496e15
-    biginv = 1.0 / big
-    y = 1.0 - s
-    z = x + y + 1.0
-    c = 0.0
-    pkm2, qkm2 = 1.0, x
-    pkm1, qkm1 = x + 1.0, z * x
-    ans = pkm1 / qkm1
-    for _ in range(_MAX_ITER):
-        c += 1.0
-        y += 1.0
-        z += 2.0
-        yc = y * c
-        pk = pkm1 * z - pkm2 * yc
-        qk = qkm1 * z - qkm2 * yc
-        if qk != 0.0:
-            r = pk / qk
-            t = abs((ans - r) / r)
-            ans = r
-        else:
-            t = 1.0
-        pkm2, pkm1 = pkm1, pk
-        qkm2, qkm1 = qkm1, qk
-        if abs(pk) > big:
-            pkm2 *= biginv
-            pkm1 *= biginv
-            qkm2 *= biginv
-            qkm1 *= biginv
-        if t <= _MACHEP:
-            break
-    return ans * ax
-
-
-def regularized_lower_incomplete_gamma(s: float, x: float) -> float:
-    """P(s, x) = gamma(s, x) / Gamma(s), in [0, 1].
-
-    Power series for x < s+1, continued fraction for the complement
-    otherwise; absolute error well under 1e-10 on both branches.
-    """
-    if s <= 0.0 or not math.isfinite(s):
-        raise ValueError(f"shape s must be finite and > 0, got {s!r}")
-    if x < 0.0 or math.isnan(x):
-        raise ValueError(f"x must be >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    if x < s + 1.0:
-        return min(_lower_series(s, x), 1.0)
-    return max(1.0 - _upper_continued_fraction(s, x), 0.0)
-
-
-def regularized_upper_incomplete_gamma(s: float, x: float) -> float:
-    """Q(s, x) = 1 - P(s, x), computed on whichever branch is stable."""
-    if s <= 0.0 or not math.isfinite(s):
-        raise ValueError(f"shape s must be finite and > 0, got {s!r}")
-    if x < 0.0 or math.isnan(x):
-        raise ValueError(f"x must be >= 0, got {x!r}")
-    if x == 0.0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    if x < s + 1.0:
-        return max(1.0 - _lower_series(s, x), 0.0)
-    return min(_upper_continued_fraction(s, x), 1.0)
-
-
 def chi_square_survival(chi_square: float, dof: int) -> float:
-    """Upper-tail probability of the chi-square distribution."""
-    if chi_square < 0.0:
+    """Upper-tail probability Q(s, x) of the chi-square distribution, with
+    s = dof/2 for a whole number ``dof`` >= 1 and x = chi_square/2.
+
+    Below x < s + 1 it is 1 - P(s, x) from the power series. Above, it
+    is the finite sum of Abramowitz & Stegun 26.4.4-26.4.5: x^a e^-x /
+    Gamma(a+1) over a = 0, 1, ..., s - 1 for even dof, and over a = 1/2,
+    3/2, ..., s - 1 on top of Q(1/2, x) = erfc(sqrt(x)) for odd dof.
+    """
+    if not chi_square >= 0.0:
         raise ValueError(f"chi-square statistic must be >= 0, got {chi_square!r}")
-    if dof < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {dof!r}")
-    return regularized_upper_incomplete_gamma(dof / 2.0, chi_square / 2.0)
+    if not (dof >= 1 and float(dof).is_integer()):
+        raise ValueError(f"degrees of freedom must be an integer >= 1, got {dof!r}")
+    s = dof / 2.0
+    x = chi_square / 2.0
+    if x == 0.0:
+        return 1.0
+    if math.isinf(x):
+        return 0.0
+    if x < s + 1.0:
+        # the power series for P(s, x), its prefactor x^s e^-x / Gamma(s)
+        # taken in log space to dodge overflow
+        ax = math.exp(s * math.log(x) - x - math.lgamma(s))
+        r = s
+        c = 1.0
+        total = 1.0
+        for _ in range(_MAX_ITER):
+            r += 1.0
+            c *= x / r
+            total += c
+            if c <= _MACHEP * total:
+                break
+        return 1.0 - total * ax / s
+    # the terms grow with a here (x > a + 1), so they are added smallest first
+    a, total = (0.5, math.erfc(math.sqrt(x))) if dof % 2 else (0.0, 0.0)
+    log_x = math.log(x)
+    while a < s:
+        total += math.exp(a * log_x - x - math.lgamma(a + 1.0))
+        a += 1.0
+    return total
 
 
 def average_ranks(values: Sequence[float]) -> list[float]:
@@ -155,14 +92,6 @@ class TestResult(NamedTuple):
     p_value: float
     method: str
     warnings: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "method": self.method,
-            "warnings": list(self.warnings),
-        }
 
 
 def _tie_term(pooled_sorted: Sequence[float]) -> float:

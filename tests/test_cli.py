@@ -488,7 +488,7 @@ def test_compare_identical_groups_accepts(tmp_path, capsys):
     assert all(p["null_hypothesis"] == "accept" for p in doc["pairwise_mann_whitney"])
 
 
-def test_config_file_with_flag_override(world, tmp_path):
+def test_config_file_with_flag_override(world, tmp_path, caplog):
     config = tmp_path / "run.json"
     config.write_text(
         json.dumps(
@@ -512,6 +512,13 @@ def test_config_file_with_flag_override(world, tmp_path):
     rows = read_csv(tmp_path / "override" / "fits.csv")
     assert {r["model"] for r in rows} == {"AT"}
 
+    # a wrongly typed value is an error naming the file and the key
+    for key, value in (("workers", "2"), ("beta", 2), ("models", "LN"), ("seed", True)):
+        typo = tmp_path / f"typo_{key}.json"
+        typo.write_text(json.dumps({key: value}))
+        assert run_cli("fit", "--config", typo) == 1
+        assert f"{typo}: config key '{key}' must be" in caplog.text
+
 
 def test_errors_exit_nonzero(tmp_path, caplog):
     assert run_cli("fit", "--corpus", tmp_path / "missing.ndjson",
@@ -529,6 +536,10 @@ def test_errors_exit_nonzero(tmp_path, caplog):
     # out-of-range metric weights are rejected up front
     assert run_cli("entropy", "--track", bad, "--beta", "0.5", "--out", tmp_path) == 1
     assert run_cli("quality", "--track", bad, "--omega", "0.9", "--out", tmp_path) == 1
+    assert run_cli("entropy", "--track", bad, "--beta", "inf", "--out", tmp_path) == 1
+    assert "beta weights must be finite and >= 1" in caplog.text
+    assert run_cli("quality", "--track", bad, "--omega", "nan", "--out", tmp_path) == 1
+    assert "omega weights must be finite and >= 1" in caplog.text
     # malformed track and metric files are errors naming the file and row,
     # not tracebacks or silently different metrics
     header = "product,version,dataset,model,msr,status,classification,p_value,chi2,valid\n"

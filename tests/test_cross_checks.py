@@ -18,15 +18,14 @@ from vdmfit.stats import (
     chi_square_survival,
     kruskal_wallis,
     mann_whitney_u,
-    regularized_lower_incomplete_gamma,
 )
 
 
 def test_incomplete_gamma_matches_scipy():
-    for s in (0.2, 0.5, 1.0, 3.5, 15.0, 40.0):
-        for x in (0.001, 0.1, 1.0, 5.0, 30.0, 200.0):
-            assert regularized_lower_incomplete_gamma(s, x) == pytest.approx(
-                scipy.special.gammainc(s, x), abs=1e-13
+    for k in (1, 2, 7, 30, 80):
+        for x in (0.002, 0.2, 2.0, 10.0, 60.0, 400.0):
+            assert chi_square_survival(x, k) == pytest.approx(
+                scipy.special.gammaincc(k / 2.0, x / 2.0), abs=1e-13
             )
 
 

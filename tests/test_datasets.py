@@ -430,6 +430,35 @@ def test_import_parse_error_names_line(tmp_path):
         import_corpus(path)
 
 
+def test_import_rejects_mistyped_affects_and_refs(tmp_path):
+    # a string is iterable: "1.0" read as a list would count for versions
+    # ".", "0" and "1", and "BUG-7" would become five dangling refs
+    path = tmp_path / "corpus.ndjson"
+    good = {"id": "X", "kind": "bug", "published": "2005-01-01"}
+    for key, value in [("affects", "1.0"), ("affects", ["1.0", 1]), ("refs", "BUG-7"),
+                       ("refs", {"BUG-7": 1}), ("refs", None)]:
+        bad = {"id": "Y", "kind": "nvd", "published": "2005-01-01", key: value}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ParseError, match=f"line 2: {key} must be an array of strings"):
+            import_corpus(path)
+
+
+def test_releases_reject_mistyped_fields(tmp_path):
+    from vdmfit.datasets import import_releases
+
+    good = {"product": "ff", "version": "1.0", "release_date": "2004-11-09"}
+    path = tmp_path / "releases.json"
+    for key, value, expected in [
+        ("version", 1.0, "a string"),
+        ("product", 7, "a string"),
+        ("include_unlinked_advisory_bugs", "false", "true or false"),
+        ("include_unlinked_advisory_bugs", 0, "true or false"),
+    ]:
+        path.write_text(json.dumps([good, good | {"version": "2.0", key: value}]))
+        with pytest.raises(ParseError, match=f"release #1: {key} must be {expected}"):
+            import_releases(path)
+
+
 def test_dangling_refs_dropped_with_warning(tmp_path, caplog):
     corpus = Corpus(
         [_rec("N1", RecordKind.NVD, refs={"GHOST"}), _rec("B1", RecordKind.BUG)]

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -49,8 +50,9 @@ def test_entropy_direct_substitution():
 def test_entropy_empty_and_bad_beta():
     with pytest.raises(EmptyStepError):
         entropy_at([], beta=1.0)
-    with pytest.raises(ValueError):
-        entropy_at([U], beta=0.5)
+    for beta in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            entropy_at([U], beta=beta)
 
 
 def test_entropy_monotone_in_beta():
@@ -98,8 +100,9 @@ def test_quality_errors():
         quality_at((0, 0, 0), omega=1.0)
     with pytest.raises(ValueError):
         quality_at((1, -1, 0), omega=1.0)
-    with pytest.raises(ValueError):
-        quality_at((1, 1, 1), omega=0.9)
+    for omega in (0.9, math.nan):
+        with pytest.raises(ValueError):
+            quality_at((1, 1, 1), omega=omega)
 
 
 def test_median_conventions():

@@ -12,59 +12,42 @@ from vdmfit.stats import (
     chi_square_survival,
     kruskal_wallis,
     mann_whitney_u,
-    regularized_lower_incomplete_gamma,
-    regularized_upper_incomplete_gamma,
 )
 
 from oracles import lower_gamma_quadrature
 
 
-def test_lower_gamma_is_zero_at_origin():
-    for s in (0.3, 0.5, 1.0, 2.5, 10.0, 40.0):
-        assert regularized_lower_incomplete_gamma(s, 0.0) == 0.0
-
-
-def test_lower_gamma_half_is_erf():
-    # P(1/2, x) = erf(sqrt(x))
-    for x in (0.25, 1.0, 2.0, 5.0):
-        assert regularized_lower_incomplete_gamma(0.5, x) == pytest.approx(
-            math.erf(math.sqrt(x)), abs=1e-12
-        )
-    assert regularized_lower_incomplete_gamma(0.5, 1.0) == pytest.approx(
-        0.8427007929497149, abs=1e-10
-    )
-
-
-def test_gamma_against_quadrature():
-    for s, x in [(0.5, 1.0), (5.0, 5.0), (1.0, 0.2), (3.5, 12.0), (15.0, 6.0), (0.2, 0.01)]:
-        assert regularized_lower_incomplete_gamma(s, x) == pytest.approx(
-            lower_gamma_quadrature(s, x), abs=1e-10
+def test_chi_square_dof_one_is_erfc():
+    # Q(1/2, x/2) = erfc(sqrt(x/2)), on both sides of the series threshold x = 3
+    for x in (0.5, 2.0, 2.9, 3.0, 4.0, 10.0, 50.0):
+        assert chi_square_survival(x, 1) == pytest.approx(
+            math.erfc(math.sqrt(x / 2.0)), abs=1e-12
         )
 
 
-def test_gamma_domain_errors():
-    with pytest.raises(ValueError):
-        regularized_lower_incomplete_gamma(0.0, 1.0)
-    with pytest.raises(ValueError):
-        regularized_lower_incomplete_gamma(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        regularized_lower_incomplete_gamma(1.0, -0.1)
+def test_chi_square_survival_against_quadrature():
+    # half-integer and integer shapes s = dof/2, below and above x/2 = s + 1
+    for dof, x in [(1, 2.0), (10, 10.0), (2, 0.4), (7, 24.0), (30, 12.0),
+                   (3, 5.5), (80, 60.0), (80, 82.0), (79, 120.0), (80, 150.0)]:
+        assert chi_square_survival(x, dof) == pytest.approx(
+            1.0 - lower_gamma_quadrature(dof / 2.0, x / 2.0), abs=1e-10
+        )
 
 
-def test_gamma_monotone_and_saturating():
-    for s in (0.5, 1.0, 3.0, 10.0):
-        xs = np.linspace(0.0, 50.0 * s, 300)
-        vals = [regularized_lower_incomplete_gamma(s, float(x)) for x in xs]
+def test_chi_square_survival_domain_errors():
+    for chi2, dof in [(-0.1, 3), (math.nan, 3), (1.0, 0), (1.0, 2.5)]:
+        with pytest.raises(ValueError):
+            chi_square_survival(chi2, dof)
+
+
+def test_chi_square_survival_monotone_and_vanishing():
+    for dof in (1, 2, 6, 20):
+        xs = np.linspace(0.0, 100.0 * dof, 300)
+        vals = [chi_square_survival(float(x), dof) for x in xs]
         assert all(0.0 <= v <= 1.0 for v in vals)
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-        assert vals[-1] == pytest.approx(1.0, abs=1e-10)
-
-
-def test_upper_plus_lower_is_one():
-    for s in (0.5, 2.0, 7.5):
-        for x in (0.1, 1.0, 5.0, 30.0):
-            total = regularized_lower_incomplete_gamma(s, x) + regularized_upper_incomplete_gamma(s, x)
-            assert total == pytest.approx(1.0, abs=1e-12)
+        assert all(b <= a for a, b in zip(vals, vals[1:]))
+        assert vals[0] == 1.0
+        assert vals[-1] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_chi_square_survival_spot_values():
