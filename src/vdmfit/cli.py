@@ -8,8 +8,9 @@ output file carries a metadata block with the config hash, the dof
 convention and the beta/omega settings, so reruns are byte-identical.
 
 ``fit`` and ``track`` share one curve loop and one row builder: ``fit``
-is the track of the last month. The metric commands carry ``as_of``,
-``start_msr`` and ``config_hash`` over from the file they read.
+is the track of the last month, and equal curves are fitted once per
+run. The metric commands carry ``as_of``, ``start_msr`` and
+``config_hash`` over from the file they read.
 """
 
 from __future__ import annotations
@@ -150,6 +151,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
+    # a config file may write a weight as an int: 1 and 1.0 are one analysis
+    data.update({k: [float(w) for w in data[k]] for k in ("beta", "omega") if k in data})
     cfg = RunConfig(**data)
     cfg.validate()
     return cfg
@@ -310,6 +313,7 @@ def _fit_curves(cfg: RunConfig, start_msr: int | None) -> tuple[list, list[dict]
     """Every (series, model) curve in (product, version, dataset, model)
     order with its (msr, FitResult | None) months from ``start_msr`` on
     (None: the last month), plus the skipped series and the metadata.
+    Equal curves (points, model, first month, options) share one fit.
     Failed curves are logged, and keep their months without a result."""
     options = cfg.fit_options()
     series_list, skipped, meta = _load_series(cfg)
@@ -318,9 +322,15 @@ def _fit_curves(cfg: RunConfig, start_msr: int | None) -> tuple[list, list[dict]
         for s in sorted(series_list, key=ObservationSeries.key)
         for m in sorted(cfg.models)
     ]
-    results = _run_jobs(_track_job, payloads, cfg.workers)
+    # a FitResult holds no curve identity, so equal curves can share one
+    jobs: dict[tuple, tuple] = {}
+    for payload in payloads:
+        jobs.setdefault((payload[0].points,) + payload[1:], payload)
+    log.info("%d curves, %d distinct fits", len(payloads), len(jobs))
+    results = dict(zip(jobs, _run_jobs(_track_job, list(jobs.values()), cfg.workers)))
     curves = []
-    for (series, model_id, first, _), (status, months) in zip(payloads, results):
+    for series, model_id, first, _ in payloads:
+        status, months = results[(series.points, model_id, first, options)]
         error = None
         if status == "error":
             error, months = months, [(m, None) for m in range(first, series.last_msr + 1)]

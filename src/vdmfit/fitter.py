@@ -228,13 +228,13 @@ def _projection(
         basis = ()
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                if n_solved:
+                if n_solved == 1:
+                    # the basis of one amplitude is the curve at unit amplitude
+                    (phi,) = basis = models.evaluate(model_id, x, t)[None]
+                    x[0] = np.clip((phi @ y) / (phi @ phi), lo[0], hi[0])
+                elif n_solved:
                     basis = models.gradient(model_id, x, t)[:, :n_solved].T.copy()
-                    if n_solved == 1:
-                        (phi,) = basis
-                        coef = (phi @ y) / (phi @ phi)
-                    else:
-                        coef = np.linalg.lstsq(basis.T, y, rcond=None)[0]
+                    coef = np.linalg.lstsq(basis.T, y, rcond=None)[0]
                     x[:n_solved] = np.clip(coef, lo[:n_solved], hi[:n_solved])
                 # one amplitude times its basis is bitwise the curve
                 curve = x[0] * basis[0] if n_solved == 1 else models.evaluate(model_id, x, t)

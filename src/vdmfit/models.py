@@ -77,9 +77,9 @@ class ModelSpec:
     ``len(launch)`` parameters, the ones the fitter iterates on; the
     fitter solves every parameter before them exactly. It relies on the
     curve being those parameters times their Jacobian columns at unit
-    amplitude, bit for bit for one amplitude (``curve((a, k), t) == a *
-    jacobian((1, k), t)[:, 0]``), and on a row that iterates solving at
-    most one parameter.
+    amplitude, bit for bit for one amplitude, whose basis is the curve
+    at unit amplitude (``curve((a, k), t) == a * curve((1, k), t)``), and
+    on a row that iterates solving at most one parameter.
     """
 
     id: str

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from vdmfit.cli import main
+from vdmfit.datasets import DatasetKind
 from vdmfit.simulate import NoiseKind, NoiseSpec, generate
 
 
@@ -270,22 +271,37 @@ def test_fits_are_the_last_month_of_the_track(world, tmp_path, workers):
         assert [row[c] for c in columns] == [tracked[c] for c in columns]
 
 
-def test_failed_track_curve_keeps_its_months_as_error_rows(world, tmp_path, monkeypatch):
+def _counting_rolling_gof(monkeypatch, fail_model=None):
+    """Replace cli.rolling_gof with a wrapper that records the model of
+    every call and raises for ``fail_model``; returns the record."""
     import vdmfit.cli as cli
 
     rolling_gof = cli.rolling_gof
+    calls = []
 
-    def failing_re(series, model_id, *args, **kwargs):
-        if model_id == "RE":
-            raise ValueError("no RE today")
+    def counting(series, model_id, *args, **kwargs):
+        calls.append(model_id)
+        if model_id == fail_model:
+            raise ValueError(f"no {model_id} today")
         return rolling_gof(series, model_id, *args, **kwargs)
 
+    monkeypatch.setattr(cli, "rolling_gof", counting)
+    return calls
+
+
+def test_failed_track_curve_keeps_its_months_as_error_rows(world, tmp_path, monkeypatch, caplog):
     shared = ("--corpus", world["corpus"], "--releases", world["releases"],
               "--as-of", world["as_of"], "--datasets", "NVD,NVD.Bug")
     assert run_cli("track", *shared, "--models", "LN", "--out", tmp_path / "ln") == 0
-    monkeypatch.setattr(cli, "rolling_gof", failing_re)
+    calls = _counting_rolling_gof(monkeypatch, fail_model="RE")
     out = tmp_path / "failed"
     assert run_cli("track", *shared, "--models", "LN,RE", "--out", out) == 0
+    # the two kinds count alike: one failed RE job, one warning per curve
+    assert sorted(calls) == ["LN", "RE"]
+    version = read_json(world["releases"])[0]["version"]
+    assert sorted(m for m in caplog.messages if m.startswith("fit failed for ")) == [
+        f"fit failed for synthetic {version} {kind} RE: no RE today" for kind in ("NVD", "NVD.Bug")
+    ]
 
     rows = read_csv(out / "track.csv")
     re_rows = [r for r in rows if r["model"] == "RE"]
@@ -309,6 +325,28 @@ def test_failed_track_curve_keeps_its_months_as_error_rows(world, tmp_path, monk
         assert values(tmp_path / "e_file" / name) == expected
     assert run_cli("quality", "--track", out / "track.csv", "--out", tmp_path / "q") == 0
     assert {r["group"] for r in read_csv(tmp_path / "q" / "quality_omega1.csv")} == {"LN"}
+
+
+def test_equal_curves_are_fitted_once(world, tmp_path, monkeypatch, caplog):
+    # a simulated world links every entry, so its five kinds count alike
+    caplog.set_level(logging.INFO, logger="vdmfit")
+    shared = ("--corpus", world["corpus"], "--releases", world["releases"],
+              "--as-of", world["as_of"], "--models", "LN,RE")
+    assert run_cli("track", *shared, "--datasets", "NVD", "--out", tmp_path / "nvd") == 0
+    calls = _counting_rolling_gof(monkeypatch)
+    assert run_cli("track", *shared, "--out", tmp_path / "all") == 0
+    assert sorted(calls) == ["LN", "RE"]
+    assert "10 curves, 2 distinct fits" in caplog.messages
+
+    def without_dataset(rows):
+        return [{k: v for k, v in r.items() if k != "dataset"} for r in rows]
+
+    nvd = read_csv(tmp_path / "nvd" / "track.csv")
+    rows = read_csv(tmp_path / "all" / "track.csv")
+    kinds = [k.value for k in DatasetKind]
+    assert {r["dataset"] for r in rows} == set(kinds)
+    for kind in kinds:
+        assert without_dataset(r for r in rows if r["dataset"] == kind) == without_dataset(nvd)
 
 
 def test_quality_all_good_world_is_one(tmp_path):
@@ -490,22 +528,28 @@ def test_compare_identical_groups_accepts(tmp_path, capsys):
 
 def test_config_file_with_flag_override(world, tmp_path, caplog):
     config = tmp_path / "run.json"
-    config.write_text(
-        json.dumps(
-            {
-                "corpus": str(world["corpus"]),
-                "releases": str(world["releases"]),
-                "datasets": ["NVD"],
-                "models": ["LN", "RE"],
-                "as_of": world["as_of"],
-                "out": str(tmp_path / "from_config"),
-            }
-        )
-    )
+    settings = {
+        "corpus": str(world["corpus"]),
+        "releases": str(world["releases"]),
+        "datasets": ["NVD"],
+        "models": ["LN", "RE"],
+        "as_of": world["as_of"],
+        "out": str(tmp_path / "from_config"),
+    }
+    config.write_text(json.dumps(settings))
     code = run_cli("fit", "--config", config)
     assert code == 0
     rows = read_csv(tmp_path / "from_config" / "fits.csv")
     assert {r["model"] for r in rows} == {"LN", "RE"}
+
+    # whole-number weights are the default weights: one hash, one header
+    int_weights = tmp_path / "int_weights.json"
+    int_weights.write_text(json.dumps(
+        settings | {"beta": [1, 2], "omega": [1, 2], "out": str(tmp_path / "int_weights")}))
+    assert run_cli("fit", "--config", int_weights) == 0
+    header = read_header(tmp_path / "int_weights" / "fits.csv")
+    assert header == read_header(tmp_path / "from_config" / "fits.csv")
+    assert header["beta"] == header["omega"] == "[1.0, 2.0]"
 
     code = run_cli("fit", "--config", config, "--models", "AT", "--out", tmp_path / "override")
     assert code == 0

@@ -41,7 +41,8 @@ def test_registry_is_exhaustive_and_consistent():
             assert n_solved <= 1
         # the rule the fitter relies on: the curve is the Jacobian columns
         # of the solved parameters at unit amplitude times their values,
-        # bit for bit for one amplitude
+        # bit for bit for one amplitude, whose basis is the curve at unit
+        # amplitude
         cases = (((3.7, -0.4), 0.05), ((1e12, 2.0), 1e-12)) if n_solved else ()
         for amplitudes, rate in cases:
             a = np.array(amplitudes[:n_solved])
@@ -50,6 +51,8 @@ def test_registry_is_exhaustive_and_consistent():
             curve = spec.curve(np.concatenate((a, z)), t)
             if n_solved == 1:
                 assert np.array_equal(curve, a[0] * basis[:, 0]), mid
+                unit = spec.curve(np.concatenate((np.ones(1), z)), t)
+                assert np.array_equal(unit, basis[:, 0]), mid
             else:
                 np.testing.assert_allclose(curve, basis @ a, rtol=1e-12, err_msg=mid)
         for grid_size in (1, 2, 3):
