@@ -327,7 +327,9 @@ def _fit_curves(cfg: RunConfig, start_msr: int | None) -> tuple[list, list[dict]
     for payload in payloads:
         jobs.setdefault((payload[0].points,) + payload[1:], payload)
     log.info("%d curves, %d distinct fits", len(payloads), len(jobs))
+    started = time.perf_counter()
     results = dict(zip(jobs, _run_jobs(_track_job, list(jobs.values()), cfg.workers)))
+    log.info("%d distinct fits in %.3f s", len(jobs), time.perf_counter() - started)
     curves = []
     for series, model_id, first, _ in payloads:
         status, months = results[(series.points, model_id, first, options)]

@@ -177,12 +177,13 @@ class Corpus:
             if rec.id in store:
                 raise DuplicateIdError(f"duplicate record id {rec.id!r}")
             store[rec.id] = rec
+        # one pass finds the records with a dangling ref; only they are replaced
+        ids = store.keys()
         dropped: list[tuple[str, str]] = []
-        for rid, rec in list(store.items()):
-            dangling = {ref for ref in rec.refs if ref not in store}
-            if dangling:
-                dropped.extend((rid, ref) for ref in sorted(dangling))
-                store[rid] = replace(rec, refs=rec.refs - dangling)
+        for rec in [rec for rec in store.values() if not ids >= rec.refs]:
+            dangling = rec.refs - ids
+            dropped.extend((rec.id, ref) for ref in sorted(dangling))
+            store[rec.id] = replace(rec, refs=rec.refs - dangling)
         self._records = store
         self.dropped_refs: tuple[tuple[str, str], ...] = tuple(dropped)
         for rid, ref in dropped:

@@ -188,10 +188,10 @@ def _levenberg_marquardt(
             except np.linalg.LinAlgError:
                 damping *= _DAMPING_FACTOR
                 continue
-            candidate = np.clip(x + step, lo, hi)
+            candidate = np.minimum(np.maximum(x + step, lo), hi)
             new_state = trial(candidate)
             sse_new = new_state[1]
-            if np.isfinite(sse_new) and sse_new <= sse:
+            if math.isfinite(sse_new) and sse_new <= sse:
                 accepted = True
                 break
             damping *= _DAMPING_FACTOR
@@ -231,7 +231,7 @@ def _projection(
                 if n_solved == 1:
                     # the basis of one amplitude is the curve at unit amplitude
                     (phi,) = basis = models.evaluate(model_id, x, t)[None]
-                    x[0] = np.clip((phi @ y) / (phi @ phi), lo[0], hi[0])
+                    x[0] = min(max((phi @ y) / (phi @ phi), lo[0]), hi[0])
                 elif n_solved:
                     basis = models.gradient(model_id, x, t)[:, :n_solved].T.copy()
                     coef = np.linalg.lstsq(basis.T, y, rcond=None)[0]
@@ -248,13 +248,13 @@ def _projection(
 
     def jacobian(z, state):
         _, _, x, basis = state
-        jac = models.gradient(model_id, x, t)[:, n_solved:]
-        if n_solved:
-            # Kaufman: an iterating row solves one parameter, so each
-            # column is projected off that one basis vector
-            (phi,) = basis
-            jac = np.stack([d - phi * ((phi @ d) / (phi @ phi)) for d in jac.T], axis=1)
-        return jac
+        jac = models.gradient(model_id, x, t)
+        if not n_solved:
+            return jac
+        # Kaufman: the one rate column projected off the one basis vector
+        (phi,) = basis
+        (d,) = jac[:, 1:].T
+        return (d - phi * ((phi @ d) / (phi @ phi))).reshape(-1, 1)
 
     return trial, jacobian
 

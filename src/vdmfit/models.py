@@ -22,6 +22,11 @@ the parameters the fitter iterates on. Adding a family means adding one
 row; ``evaluate``, ``gradient``, ``default_domain``, ``ParamVector`` and
 the fitter all read the row.
 
+``evaluate`` and ``gradient`` run thousands of times per fit, so they
+check with few numpy calls and pass Python floats to the kernels (a
+double product rounds alike in ``float`` and ``np.float64``). A Jacobian
+is one C-contiguous array: BLAS rounds ``jac.T @ jac`` by its layout.
+
 The fitter has one path for every row (variable projection): it solves
 the parameters before the launch axes exactly and iterates on the rest.
 AT, LN and RQ are linear in all their parameters, so their rows name no
@@ -69,8 +74,9 @@ class DomainError(ValueError):
 class ModelSpec:
     """Identity card of one curve family.
 
-    ``curve`` and ``jacobian`` are unchecked kernels of (params, t array):
-    they raise DomainError for the parameter combinations a family cannot
+    ``curve`` and ``jacobian`` are unchecked kernels of (Python floats,
+    t array), ``jacobian`` one C-contiguous (t.shape + (p,)) array: they
+    raise DomainError for the parameter combinations a family cannot
     evaluate, but leave shape and finiteness checks to ``evaluate`` and
     ``gradient``. ``launch`` names one multistart axis ("rate", "asym"
     or "level", see ``fitter.initial_guesses``) for each of the trailing
@@ -79,54 +85,58 @@ class ModelSpec:
     curve being those parameters times their Jacobian columns at unit
     amplitude, bit for bit for one amplitude, whose basis is the curve
     at unit amplitude (``curve((a, k), t) == a * curve((1, k), t)``), and
-    on a row that iterates solving at most one parameter.
+    on a row that iterates solving at most one parameter, and one rate.
     """
 
     id: str
     param_names: tuple[str, ...]
     domain: tuple[tuple[float, float], ...]
     launch: tuple[str, ...]
-    curve: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    curve: Callable[[Sequence[float], np.ndarray], np.ndarray]
+    jacobian: Callable[[Sequence[float], np.ndarray], np.ndarray]
 
     @property
     def param_count(self) -> int:
         return len(self.param_names)
 
 
-def _columns(*cols) -> np.ndarray:
-    return np.stack(cols, axis=-1)
+def _columns(*cols: np.ndarray) -> np.ndarray:
+    jac = np.empty(np.shape(cols[0]) + (len(cols),))
+    for j, col in enumerate(cols):
+        jac[..., j] = col
+    return jac
 
 
-def _aml_terms(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-A*B*t) and the denominator B*C*exp(-A*B*t)+1."""
+def _aml_terms(p: Sequence[float], t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(-A*B*t), B*C*exp(-A*B*t) and the denominator B*C*exp(-A*B*t)+1."""
     a, b, c = p
     e = np.exp(-a * b * t)
-    denom = b * c * e + 1.0
-    if np.any(denom <= 0.0):
-        raise DomainError(f"AML denominator B*C*exp(-A*B*t)+1 <= 0 for params {p.tolist()}")
-    return e, denom
+    bce = b * c * e
+    denom = bce + 1.0
+    if np.count_nonzero(denom <= 0.0):
+        raise DomainError(f"AML denominator B*C*exp(-A*B*t)+1 <= 0 for params {list(p)}")
+    return e, bce, denom
 
 
-def _aml_jacobian(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _aml_jacobian(p: Sequence[float], t: np.ndarray) -> np.ndarray:
     a, b, c = p
-    e, denom = _aml_terms(p, t)
+    e, bce, denom = _aml_terms(p, t)
     d2 = denom * denom
-    return _columns(
-        b * b * b * c * t * e / d2,
-        (denom - b * c * e * (1.0 - a * b * t)) / d2,
-        -b * b * e / d2,
-    )
+    jac = np.empty(t.shape + (3,))
+    np.divide(b * b * b * c * t * e, d2, out=jac[..., 0])
+    np.divide(denom - bce * (1.0 - a * b * t), d2, out=jac[..., 1])
+    np.divide(-b * b * e, d2, out=jac[..., 2])
+    return jac
 
 
-def _lp_arg(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _lp_arg(p: Sequence[float], t: np.ndarray) -> np.ndarray:
     arg = 1.0 + p[1] * t
-    if np.any(arg <= 0.0):
-        raise DomainError(f"LP log argument 1+beta1*t <= 0 for params {p.tolist()}")
+    if np.count_nonzero(arg <= 0.0):
+        raise DomainError(f"LP log argument 1+beta1*t <= 0 for params {list(p)}")
     return arg
 
 
-def _lp_jacobian(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _lp_jacobian(p: Sequence[float], t: np.ndarray) -> np.ndarray:
     arg = _lp_arg(p, t)
     return _columns(np.log(arg), p[0] * t / arg)
 
@@ -140,14 +150,14 @@ MODELS = {
     s.id: s
     for s in (
         ModelSpec("AML", ("A", "B", "C"), (_POS, _POS, _POS), ("rate", "asym", "level"),
-                  curve=lambda p, t: p[1] / _aml_terms(p, t)[1],
+                  curve=lambda p, t: p[1] / _aml_terms(p, t)[2],
                   jacobian=_aml_jacobian),
         ModelSpec("AT", ("k", "C"), (_FREE, _FREE), (),
                   curve=lambda p, t: p[0] * np.log(t) + p[1],
-                  jacobian=lambda p, t: _columns(np.log(t), np.ones_like(t))),
+                  jacobian=lambda p, t: _columns(np.log(t), 1.0)),
         ModelSpec("LN", ("A", "B"), (_FREE, _FREE), (),
                   curve=lambda p, t: p[0] * t + p[1],
-                  jacobian=lambda p, t: _columns(t, np.ones_like(t))),
+                  jacobian=lambda p, t: _columns(t, 1.0)),
         ModelSpec("LP", ("beta0", "beta1"), (_POS, _POS), ("rate",),
                   curve=lambda p, t: p[0] * np.log(_lp_arg(p, t)),
                   jacobian=_lp_jacobian),
@@ -202,19 +212,21 @@ Number = Union[float, np.ndarray]
 
 def _checked(
     model_id: str, params: Sequence[float], t: Number
-) -> tuple[ModelSpec, np.ndarray, np.ndarray, bool]:
+) -> tuple[ModelSpec, list[float], np.ndarray, bool]:
     s = spec(model_id)
     p = np.asarray(params, dtype=float)
     if p.shape != (s.param_count,):
         raise ValueError(
             f"{model_id} takes {s.param_count} parameters {s.param_names}, got shape {p.shape}"
         )
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"non-finite parameter values {p.tolist()}")
+    values = p.tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"non-finite parameter values {values}")
     tt = np.asarray(t, dtype=float)
-    if np.any(tt <= 0.0) or not np.all(np.isfinite(tt)):
+    # argmin and argmax pick the first NaN, which fails; an empty t passes
+    if tt.size and not (tt.item(tt.argmin()) > 0.0 and tt.item(tt.argmax()) < math.inf):
         raise DomainError(f"t must be finite and > 0, got {t!r}")
-    return s, p, tt, tt.ndim == 0
+    return s, values, tt, tt.ndim == 0
 
 
 def evaluate(model_id: str, params: Sequence[float], t: Number) -> Number:

@@ -133,6 +133,27 @@ def test_load_stage_timing_is_logged_and_not_written(world, tmp_path, caplog):
         assert "loaded in" not in path.read_text(), path
 
 
+@pytest.mark.parametrize("command", ["fit", "track"])
+def test_fit_stage_timing_is_logged_and_not_written(world, tmp_path, caplog, command):
+    caplog.set_level(logging.INFO, logger="vdmfit")
+    code = run_cli(
+        command,
+        "--corpus", world["corpus"],
+        "--releases", world["releases"],
+        "--as-of", world["as_of"],
+        "--datasets", "NVD,NVD.Bug",
+        "--models", "LN,RQ",
+        "--out", tmp_path,
+    )
+    assert code == 0
+    # both kinds of a simulated world count alike, so 4 curves share 2 fits
+    assert "4 curves, 2 distinct fits" in caplog.messages
+    timing = re.compile(r"2 distinct fits in \d+\.\d{3} s$")
+    assert [m for m in caplog.messages if timing.match(m)], caplog.messages
+    for path in tmp_path.iterdir():
+        assert "fits in" not in path.read_text(), path
+
+
 def test_exact_linear_world_every_row_good(tmp_path):
     sim = tmp_path / "sim"
     run_cli(

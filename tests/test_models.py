@@ -37,8 +37,10 @@ def test_registry_is_exhaustive_and_consistent():
         assert set(spec.launch) <= {"rate", "asym", "level"}
         n_solved = spec.param_count - len(spec.launch)
         if spec.launch:
-            # the projected Jacobian projects off one solved basis vector
+            # the projected Jacobian is one iterated column projected off
+            # one solved basis vector
             assert n_solved <= 1
+            assert n_solved == 0 or len(spec.launch) == 1
         # the rule the fitter relies on: the curve is the Jacobian columns
         # of the solved parameters at unit amplitude times their values,
         # bit for bit for one amplitude, whose basis is the curve at unit
@@ -209,3 +211,67 @@ def test_default_domains():
     assert default_domain("RE") == (((0.0, inf),) * 2)
     for mid in ("AT", "LN", "RQ"):
         assert default_domain(mid) == (((-inf, inf),) * 2)
+
+
+_VALID_PARAMS = {
+    "AML": (0.01, 50.0, 0.8),
+    "AT": (3.0, 5.0),
+    "LN": (2.0, 3.0),
+    "LP": (80.0, 0.1),
+    "RE": (100.0, 0.05),
+    "RQ": (0.05, 2.0),
+}
+
+
+@pytest.mark.parametrize("kernel", [evaluate, gradient])
+@pytest.mark.parametrize("mid", MODEL_IDS)
+def test_non_finite_or_non_positive_t_is_a_domain_error(kernel, mid):
+    params = _VALID_PARAMS[mid]
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            kernel(mid, params, bad)
+        for t in ([bad, 1.0, 2.0], [1.0, bad, 2.0], [1.0, 2.0, bad], [-1.0, bad, 2.0]):
+            with pytest.raises(DomainError):
+                kernel(mid, params, np.array(t))
+    with pytest.raises(DomainError):
+        kernel(mid, params, np.array([1.0, 0.0, 3.0]))
+    # an empty t is no error: it evaluates to an empty result
+    empty = kernel(mid, params, np.array([]))
+    assert empty.shape == ((0,) if kernel is evaluate else (0, param_count(mid)))
+
+
+@pytest.mark.parametrize("kernel", [evaluate, gradient])
+@pytest.mark.parametrize("mid", MODEL_IDS)
+def test_bad_params_are_a_value_error(kernel, mid):
+    params = _VALID_PARAMS[mid]
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite parameter values") as exc:
+            kernel(mid, params[:-1] + (bad,), np.array([1.0, 2.0]))
+        assert type(exc.value) is ValueError
+    for wrong in (params[:-1], params + (1.0,)):
+        with pytest.raises(ValueError, match=f"{mid} takes") as exc:
+            kernel(mid, wrong, 2.0)
+        assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize("kernel", [evaluate, gradient])
+def test_aml_denominator_at_one_month_is_a_domain_error(kernel):
+    # B*C*exp(-A*B*t)+1 is -0.21 at t=1 and positive at t=3 and t=5
+    params = (0.5, 1.0, -2.0)
+    kernel("AML", params, np.array([3.0, 5.0]))
+    with pytest.raises(DomainError, match="AML denominator"):
+        kernel("AML", params, np.array([3.0, 1.0, 5.0]))
+
+
+def test_gradient_is_a_c_contiguous_float64_matrix():
+    # the fitter's jac.T @ r and jac.T @ jac go through BLAS, which picks
+    # its kernel, and so its rounding, by memory layout
+    t = np.arange(1.0, 13.0)
+    for mid, params in _VALID_PARAMS.items():
+        jac = gradient(mid, params, t)
+        assert jac.shape == (t.size, param_count(mid)), mid
+        assert jac.dtype == np.float64 and jac.flags.c_contiguous, mid
+        point = gradient(mid, params, 4.0)
+        assert point.shape == (param_count(mid),), mid
+        assert point.dtype == np.float64, mid
+        np.testing.assert_allclose(point, jac[3], rtol=1e-14, err_msg=mid)
