@@ -16,8 +16,8 @@ from .datasets import (  # noqa: F401
     link_bugs_to_nvd,
     select_dataset,
 )
-from .fitter import FitOptions, FitOutcome, fit, initial_guesses  # noqa: F401
-from .gof import FitClass, FitResult, chi_square_statistic, classify, p_value, test_fit  # noqa: F401
+from .fitter import FitOutcome, fit, initial_guesses  # noqa: F401
+from .gof import FitClass, FitResult, chi_square_statistic, classify, test_fit  # noqa: F401
 from .metrics import (  # noqa: F401
     MetricSeries,
     TransitionKind,
@@ -28,6 +28,6 @@ from .metrics import (  # noqa: F401
     quality_at,
     rolling_gof,
 )
-from .models import MODEL_IDS, MODELS, ModelSpec, ParamVector, default_domain, evaluate, gradient  # noqa: F401
+from .models import MODEL_IDS, MODELS, ModelSpec, ParamVector, evaluate, gradient  # noqa: F401
 from .simulate import NoiseKind, NoiseSpec, exact_series, generate  # noqa: F401
 from .stats import bonferroni, kruskal_wallis, mann_whitney_u  # noqa: F401

@@ -47,7 +47,7 @@ from .datasets import (
     msr_end,
     select_dataset,
 )
-from .fitter import FitOptions
+from .fitter import DEFAULT_MULTISTART
 from .gof import FitClass, FitResult
 from .metrics import DEFAULT_START_MSR, aggregate_entropy, aggregate_quality, rolling_gof
 from .models import MODEL_IDS, spec
@@ -73,7 +73,7 @@ class RunConfig:
     out: str = "out"
     seed: int = 0
     workers: int = 1
-    multistart: int = 3
+    multistart: int = DEFAULT_MULTISTART
     as_of: str | None = None
 
     def validate(self) -> None:
@@ -93,9 +93,8 @@ class RunConfig:
             raise ValueError("start_msr must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-    def fit_options(self) -> FitOptions:
-        return FitOptions(multistart_grid_size=self.multistart)
+        if self.multistart < 1:
+            raise ValueError("multistart must be >= 1")
 
     def config_hash(self) -> str:
         # hash the analysis parameters, not file locations or scheduling:
@@ -293,11 +292,11 @@ def _param_csv(values: Sequence[float]) -> str:
 _FIT_FAILURES = (ValueError, LinAlgError)
 
 
-def _track_job(payload: tuple[ObservationSeries, str, int, FitOptions]):
+def _track_job(payload: tuple[ObservationSeries, str, int, int]):
     """Every fit the CLI makes: ``fit`` is the track of the last month."""
-    series, model_id, start_msr, options = payload
+    series, model_id, start_msr, multistart = payload
     try:
-        return ("ok", rolling_gof(series, model_id, start_msr, options))
+        return ("ok", rolling_gof(series, model_id, start_msr, multistart))
     except _FIT_FAILURES as exc:  # per-curve failures never abort a sweep
         return ("error", str(exc))
 
@@ -313,12 +312,11 @@ def _fit_curves(cfg: RunConfig, start_msr: int | None) -> tuple[list, list[dict]
     """Every (series, model) curve in (product, version, dataset, model)
     order with its (msr, FitResult | None) months from ``start_msr`` on
     (None: the last month), plus the skipped series and the metadata.
-    Equal curves (points, model, first month, options) share one fit.
+    Equal curves (points, model, first month, multistart) share one fit.
     Failed curves are logged, and keep their months without a result."""
-    options = cfg.fit_options()
     series_list, skipped, meta = _load_series(cfg)
     payloads = [
-        (s, m, s.last_msr if start_msr is None else start_msr, options)
+        (s, m, s.last_msr if start_msr is None else start_msr, cfg.multistart)
         for s in sorted(series_list, key=ObservationSeries.key)
         for m in sorted(cfg.models)
     ]
@@ -331,8 +329,8 @@ def _fit_curves(cfg: RunConfig, start_msr: int | None) -> tuple[list, list[dict]
     results = dict(zip(jobs, _run_jobs(_track_job, list(jobs.values()), cfg.workers)))
     log.info("%d distinct fits in %.3f s", len(jobs), time.perf_counter() - started)
     curves = []
-    for series, model_id, first, _ in payloads:
-        status, months = results[(series.points, model_id, first, options)]
+    for series, model_id, first, multistart in payloads:
+        status, months = results[(series.points, model_id, first, multistart)]
         error = None
         if status == "error":
             error, months = months, [(m, None) for m in range(first, series.last_msr + 1)]
@@ -507,7 +505,11 @@ def cmd_quality(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _metric_point(row: Mapping[str, object]) -> tuple[str, float]:
-    return str(row["group"]), float(row["value"])
+    value = float(row["value"])
+    if not math.isfinite(value):
+        # NaN has no rank order, so a rank test over it reads nothing
+        raise ValueError(f"value must be finite, got {row['value']!r}")
+    return str(row["group"]), value
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:

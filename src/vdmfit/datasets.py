@@ -155,10 +155,6 @@ class ObservationSeries:
     def last_msr(self) -> int:
         return self.points[-1][0]
 
-    @property
-    def max_count(self) -> float:
-        return self.points[-1][1]
-
     def truncated(self, max_msr: int) -> "ObservationSeries":
         """The prefix of points with msr <= max_msr."""
         return replace(self, points=tuple(p for p in self.points if p[0] <= max_msr))

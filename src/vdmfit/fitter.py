@@ -42,8 +42,7 @@ from .datasets import ObservationSeries
 from .models import DomainError, ParamVector
 
 __all__ = [
-    "DEFAULT_OPTIONS",
-    "FitOptions",
+    "DEFAULT_MULTISTART",
     "FitOutcome",
     "InsufficientDataError",
     "fit",
@@ -56,21 +55,9 @@ class InsufficientDataError(ValueError):
     """Fewer observation points than param_count + 1."""
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    """The fit setting a run chooses: the multistart grid has
-    ``multistart_grid_size`` nodes on each launch axis of AML, RE and LP
-    (AT, LN and RQ iterate on nothing). The iteration limit and the SSE
-    tolerance are the module's constants."""
-
-    multistart_grid_size: int = 3
-
-    def __post_init__(self):
-        if self.multistart_grid_size < 1:
-            raise ValueError("multistart_grid_size must be >= 1")
-
-
-DEFAULT_OPTIONS = FitOptions()
+# nodes on each launch axis of the multistart grid of AML, RE and LP (AT,
+# LN and RQ iterate on nothing); the only fit setting a run chooses
+DEFAULT_MULTISTART = 3
 
 _MAX_ITERATIONS = 200
 _RELATIVE_SSE_TOLERANCE = 1e-9
@@ -111,7 +98,7 @@ def sum_squared_error(
 
 
 def _domain_arrays(model_id: str) -> tuple[np.ndarray, np.ndarray]:
-    box = models.default_domain(model_id)
+    box = models.spec(model_id).domain
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     # open bounds: keep strictly inside by a hair
@@ -121,27 +108,28 @@ def _domain_arrays(model_id: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def initial_guesses(
-    series: ObservationSeries, model_id: str, grid_size: int
+    series: ObservationSeries, model_id: str, multistart: int
 ) -> list[tuple[float, ...]]:
     """The default starts of ``fit``: one point per node of the
     multistart grid over the family's ``launch`` axes,
-    grid_size**len(launch) points.
+    multistart**len(launch) points.
 
-    The asymptote axis (AML B) spans [max_count, 3*max_count]; the rate
-    axis (AML A, RE lambda, LP beta1) spans [1e-3, 1] log-spaced; the
-    level axis (AML C) spans [1e-2, 10] log-spaced. The parameters that
-    ``fit`` solves exactly (RE N, LP beta0, all of AT, LN and RQ) hold
-    the placeholder 1.0, so AT, LN and RQ get a single point.
+    The asymptote axis (AML B) spans [ymax, 3*ymax], with ymax the
+    largest count (at least 1); the rate axis (AML A, RE lambda, LP
+    beta1) spans [1e-3, 1] log-spaced; the level axis (AML C) spans
+    [1e-2, 10] log-spaced. The parameters that ``fit`` solves exactly
+    (RE N, LP beta0, all of AT, LN and RQ) hold the placeholder 1.0, so
+    AT, LN and RQ get a single point.
     """
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
+    if multistart < 1:
+        raise ValueError("multistart must be >= 1")
     mspec = models.spec(model_id)
     _, y = _series_arrays(series)
     ymax = max(float(y.max(initial=0.0)), 1.0)
     grids = {
-        "asym": np.linspace(ymax, 3.0 * ymax, grid_size),
-        "rate": np.logspace(-3.0, 0.0, grid_size),
-        "level": np.logspace(-2.0, 1.0, grid_size),
+        "asym": np.linspace(ymax, 3.0 * ymax, multistart),
+        "rate": np.logspace(-3.0, 0.0, multistart),
+        "level": np.logspace(-2.0, 1.0, multistart),
     }
     solved = (1.0,) * (mspec.param_count - len(mspec.launch))
     axes = [[float(v) for v in grids[name]] for name in mspec.launch]
@@ -154,22 +142,23 @@ def _levenberg_marquardt(
     x0: Sequence[float],
     lo: np.ndarray,
     hi: np.ndarray,
-) -> tuple[np.ndarray, float, bool, int, tuple]:
+) -> tuple[float, bool, int, tuple]:
     """Damped Gauss-Newton from x0 inside the box [lo, hi].
 
     ``trial(x)`` is a tuple that starts with the residuals and the SSE at
     x (None and inf where the curve is not evaluable there);
     ``jacobian(x, trial(x))`` is the derivative of the curve with respect
-    to x. Returns x, its SSE, whether the SSE test was met, the
-    iterations used and the trial at x; a start whose SSE is not finite
-    (inf or NaN) is returned unmoved, and an empty x is converged at once.
+    to x. Returns the SSE at the final x, whether the SSE test was met,
+    the iterations used and the trial at the final x; a start whose SSE
+    is not finite (inf or NaN) is returned unmoved, and an empty x is
+    converged at once.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     state = trial(x)
     r, sse = state[:2]
     if not math.isfinite(sse):
         # overflowing residuals give no usable step: the launch ends here
-        return x, sse, False, 0, state
+        return sse, False, 0, state
     damping = _DAMPING_INIT
     eye = np.eye(x.size)
     converged = sse == 0.0 or x.size == 0
@@ -206,7 +195,7 @@ def _levenberg_marquardt(
             converged = True
         sse = sse_new
 
-    return x, sse, converged, iterations, state
+    return sse, converged, iterations, state
 
 
 def _projection(
@@ -262,22 +251,23 @@ def _projection(
 def fit(
     series: ObservationSeries,
     model_id: str,
-    options: FitOptions | None = None,
+    multistart: int = DEFAULT_MULTISTART,
     starts: Sequence[Sequence[float]] | None = None,
 ) -> FitOutcome:
     """Best multistart least-squares fit of ``model_id`` to the series.
 
-    ``starts`` overrides the default multistart grid (useful for refits
-    and tests). Only the parameters the family iterates on matter in a
-    start: each distinct clipped z-part of the starts is one launch, and
-    the solved parameters are solved at every z. So AT, LN and RQ make
+    ``multistart`` is the number of nodes on each launch axis of the
+    default grid (``initial_guesses`` raises ValueError below 1);
+    ``starts`` overrides that grid (useful for refits and tests). Only
+    the parameters the family iterates on matter in a start: each
+    distinct clipped z-part of the starts is one launch, and the solved
+    parameters are solved at every z. So AT, LN and RQ make
     one launch whatever the starts, converged after 0 iterations. Raises
     ValueError when ``starts`` is empty, for every family, and
     InsufficientDataError when the series has fewer than param_count + 1
     points; a fit that never reached the SSE tolerance is returned with
     converged=False rather than raised.
     """
-    options = options or DEFAULT_OPTIONS
     mspec = models.spec(model_id)
     if len(series.points) < mspec.param_count + 1:
         raise InsufficientDataError(
@@ -285,7 +275,7 @@ def fit(
             f"series has {len(series.points)}"
         )
     if starts is None:
-        starts = initial_guesses(series, model_id, options.multistart_grid_size)
+        starts = initial_guesses(series, model_id, multistart)
     if not starts:
         raise ValueError("no starting points")
     t, y = _series_arrays(series)
@@ -297,7 +287,7 @@ def fit(
 
     best = None
     for z0 in launches:
-        _, sse, conv, iters, state = _levenberg_marquardt(trial, jacobian, z0, lo[n:], hi[n:])
+        sse, conv, iters, state = _levenberg_marquardt(trial, jacobian, z0, lo[n:], hi[n:])
         # a trial reports a non-finite SSE as inf, so keys always order
         key = (sse, tuple(state[2]))
         if best is None or key < best[0]:

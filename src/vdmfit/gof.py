@@ -28,7 +28,6 @@ __all__ = [
     "InvalidExpectedError",
     "chi_square_statistic",
     "classify",
-    "p_value",
     "test_fit",
 ]
 
@@ -54,11 +53,6 @@ def chi_square_statistic(observed: Sequence[float], expected: Sequence[float]) -
     return float(np.sum(d * d / e))
 
 
-def p_value(chi_square: float, dof: int) -> float:
-    """Upper-tail probability of chi-square with ``dof`` degrees of freedom."""
-    return stats.chi_square_survival(chi_square, dof)
-
-
 def classify(p: float) -> FitClass:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p-value must lie in [0, 1], got {p!r}")
@@ -71,7 +65,6 @@ def classify(p: float) -> FitClass:
 
 @dataclass(frozen=True)
 class FitResult:
-    model_id: str
     params: ParamVector
     chi_square: float
     dof: int
@@ -94,11 +87,9 @@ def test_fit(series: ObservationSeries, outcome: FitOutcome) -> FitResult:
     """
     params = outcome.params
     n = len(series.points)
-    dof = n - models.param_count(params.model_id)
+    dof = n - len(params.values)
     if dof < 1:
-        raise InsufficientDataError(
-            f"need more than {models.param_count(params.model_id)} points, got {n}"
-        )
+        raise InsufficientDataError(f"need more than {len(params.values)} points, got {n}")
     t = np.array(series.months, dtype=float)
     observed = np.array(series.counts, dtype=float)
     fitted = {"converged": outcome.converged, "sse": outcome.sse}
@@ -106,8 +97,6 @@ def test_fit(series: ObservationSeries, outcome: FitOutcome) -> FitResult:
         expected = models.evaluate(params.model_id, params.values, t)
         chi2 = chi_square_statistic(observed, expected)
     except (InvalidExpectedError, models.DomainError):
-        return FitResult(
-            params.model_id, params, math.inf, dof, 0.0, FitClass.NOT_FIT, valid=False, **fitted
-        )
-    p = p_value(chi2, dof)
-    return FitResult(params.model_id, params, chi2, dof, p, classify(p), valid=True, **fitted)
+        return FitResult(params, math.inf, dof, 0.0, FitClass.NOT_FIT, valid=False, **fitted)
+    p = stats.chi_square_survival(chi2, dof)
+    return FitResult(params, chi2, dof, p, classify(p), valid=True, **fitted)

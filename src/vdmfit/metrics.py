@@ -23,12 +23,13 @@ msr -> state mapping per curve, which the CLI reads from a track file.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .datasets import ObservationSeries
-from .fitter import FitOptions, InsufficientDataError, fit
+from .fitter import DEFAULT_MULTISTART, InsufficientDataError, fit
 from .gof import FitClass, FitResult, test_fit
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "aggregate_quality",
     "classify_transition",
     "entropy_at",
-    "median",
     "quality_at",
     "rolling_gof",
 ]
@@ -99,18 +99,6 @@ def quality_at(counts: Sequence[int], omega: float = 1.0) -> float:
     return (n_fit + n_inconclusive / omega) / total
 
 
-def median(values: Sequence[float]) -> float:
-    """Median with the even-length convention (mean of the two central
-    values)."""
-    if not values:
-        raise ValueError("median of empty sequence")
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 @dataclass(frozen=True)
 class MetricSeries:
     """One metric value per observation month plus median summaries.
@@ -125,14 +113,6 @@ class MetricSeries:
     first_half_median: float
     second_half_median: float
 
-    @property
-    def months(self) -> tuple[int, ...]:
-        return tuple(m for m, _ in self.points)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.points)
-
 
 def _series_with_medians(group: str, points: list[tuple[int, float]]) -> MetricSeries:
     if not points:
@@ -144,9 +124,9 @@ def _series_with_medians(group: str, points: list[tuple[int, float]]) -> MetricS
     return MetricSeries(
         group,
         tuple(points),
-        grand_median=median([v for _, v in points]),
-        first_half_median=median(first) if first else float("nan"),
-        second_half_median=median(second) if second else float("nan"),
+        grand_median=statistics.median([v for _, v in points]),
+        first_half_median=statistics.median(first) if first else float("nan"),
+        second_half_median=statistics.median(second) if second else float("nan"),
     )
 
 
@@ -202,7 +182,7 @@ def rolling_gof(
     series: ObservationSeries,
     model_id: str,
     start_msr: int = DEFAULT_START_MSR,
-    options: FitOptions | None = None,
+    multistart: int = DEFAULT_MULTISTART,
 ) -> list[tuple[int, FitResult | None]]:
     """Fit and test the model on every growing prefix of the series.
 
@@ -215,7 +195,7 @@ def rolling_gof(
     for m in range(start_msr, series.last_msr + 1):
         prefix = series.truncated(m)
         try:
-            outcome = fit(prefix, model_id, options)
+            outcome = fit(prefix, model_id, multistart)
             result: FitResult | None = test_fit(prefix, outcome)
         except InsufficientDataError:
             result = None

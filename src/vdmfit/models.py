@@ -13,14 +13,14 @@ expected cumulative vulnerability count:
     RQ   A*t^2/2 + B*t                  Rescorla Quadratic
 
 Everything here is a pure function of (model id, parameter values, t);
-parameter sign constraints live in ``default_domain`` and are enforced by
-the fitter, not by ``evaluate``.
+parameter sign constraints live in each row's ``domain`` and are enforced
+by the fitter, not by ``evaluate``.
 
 Each family is one row of the ``MODELS`` table: its parameter names, its
 fitting box, its curve and Jacobian kernels and the multistart axes of
 the parameters the fitter iterates on. Adding a family means adding one
-row; ``evaluate``, ``gradient``, ``default_domain``, ``ParamVector`` and
-the fitter all read the row.
+row; ``evaluate``, ``gradient``, ``ParamVector`` and the fitter all read
+the row.
 
 ``evaluate`` and ``gradient`` run thousands of times per fit, so they
 check with few numpy calls and pass Python floats to the kernels (a
@@ -52,10 +52,8 @@ __all__ = [
     "ModelSpec",
     "ParamVector",
     "UnknownModelError",
-    "default_domain",
     "evaluate",
     "gradient",
-    "param_count",
     "spec",
 ]
 
@@ -90,7 +88,7 @@ class ModelSpec:
 
     id: str
     param_names: tuple[str, ...]
-    domain: tuple[tuple[float, float], ...]
+    domain: tuple[tuple[float, float], ...]  # per-parameter (lower, upper) fitting box
     launch: tuple[str, ...]
     curve: Callable[[Sequence[float], np.ndarray], np.ndarray]
     jacobian: Callable[[Sequence[float], np.ndarray], np.ndarray]
@@ -181,10 +179,6 @@ def spec(model_id: str) -> ModelSpec:
         raise UnknownModelError(f"unknown model id {model_id!r}; expected one of {MODEL_IDS}") from None
 
 
-def param_count(model_id: str) -> int:
-    return spec(model_id).param_count
-
-
 @dataclass(frozen=True)
 class ParamVector:
     """A model id plus one finite value per parameter, in declared order."""
@@ -248,8 +242,3 @@ def gradient(model_id: str, params: Sequence[float], t: Number) -> np.ndarray:
     """
     s, p, tt, _ = _checked(model_id, params, t)
     return s.jacobian(p, tt)
-
-
-def default_domain(model_id: str) -> tuple[tuple[float, float], ...]:
-    """Per-parameter (lower, upper) fitting box."""
-    return spec(model_id).domain

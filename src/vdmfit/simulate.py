@@ -77,8 +77,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.magnitude < 0:
-            raise ValueError("noise magnitude must be >= 0")
+        if not (math.isfinite(self.magnitude) and self.magnitude >= 0):
+            raise ValueError("noise magnitude must be finite and >= 0")
 
 
 def _round_half_up(v: float) -> int:

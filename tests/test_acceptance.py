@@ -23,8 +23,8 @@ from vdmfit.datasets import (
     msr_end,
     select_dataset,
 )
-from vdmfit.fitter import FitOptions, fit
-from vdmfit.gof import FitClass, classify, p_value
+from vdmfit.fitter import fit
+from vdmfit.gof import FitClass, classify
 from vdmfit.gof import test_fit as run_gof_test
 from vdmfit.metrics import (
     TransitionKind,
@@ -34,7 +34,7 @@ from vdmfit.metrics import (
 )
 from vdmfit.models import MODEL_IDS
 from vdmfit.simulate import NoiseKind, NoiseSpec, exact_series, generate
-from vdmfit.stats import bonferroni, kruskal_wallis, mann_whitney_u
+from vdmfit.stats import bonferroni, chi_square_survival, kruskal_wallis, mann_whitney_u
 
 from oracles import CHI2_DOFS, CHI2_GRID, load_chi2_oracle
 from test_datasets import (
@@ -87,9 +87,9 @@ def test_criterion_02_chi_square_p_value_kernel():
         assert len(oracle) == len(CHI2_DOFS) * len(CHI2_GRID) == 1500
         assert {e["dof"] for e in oracle} == set(range(1, 31))
         for entry in oracle:
-            got = p_value(entry["chi2"], entry["dof"])
+            got = chi_square_survival(entry["chi2"], entry["dof"])
             assert abs(got - entry["p"]) <= 1e-6, entry
-        assert p_value(3.841, 1) == pytest.approx(0.050, abs=0.001)
+        assert chi_square_survival(3.841, 1) == pytest.approx(0.050, abs=0.001)
 
 
 RECOVERY_RANGES = {
@@ -117,7 +117,7 @@ def test_criterion_03_parameter_recovery():
                 outcome = fit(series, model_id)
                 for got, want in zip(outcome.params.values, truth):
                     assert abs(got - want) / abs(want) < 0.02, (model_id, trial, truth)
-                assert outcome.sse <= 1e-6 * series.max_count ** 2, (model_id, trial)
+                assert outcome.sse <= 1e-6 * series.counts[-1] ** 2, (model_id, trial)
 
 
 SELF_FIT_TRUTH = {
@@ -225,15 +225,14 @@ ROLLING_SCENARIOS = [
 
 def test_criterion_08_rolling_experiment_consistency():
     with criterion(8, "rolling sweep equals independent prefix refits"):
-        options = FitOptions(multistart_grid_size=2)
         for model_id, truth, magnitude, seed in ROLLING_SCENARIOS:
             noise = NoiseSpec(NoiseKind.MULTIPLICATIVE, magnitude, seed)
             series = generate(model_id, truth, 20, noise)
-            rolled = rolling_gof(series, model_id, options=options)
+            rolled = rolling_gof(series, model_id, multistart=2)
             assert [m for m, _ in rolled] == list(range(6, 21))
             for m, result in rolled:
                 prefix = series.truncated(m)
-                independent = run_gof_test(prefix, fit(prefix, model_id, options))
+                independent = run_gof_test(prefix, fit(prefix, model_id, 2))
                 assert result is not None
                 assert result.classification is independent.classification, (
                     model_id,

@@ -605,6 +605,14 @@ def test_errors_exit_nonzero(tmp_path, caplog):
     assert "beta weights must be finite and >= 1" in caplog.text
     assert run_cli("quality", "--track", bad, "--omega", "nan", "--out", tmp_path) == 1
     assert "omega weights must be finite and >= 1" in caplog.text
+    # so is an empty multistart grid, before any input file is read
+    caplog.clear()
+    assert run_cli("fit", "--corpus", tmp_path / "missing.ndjson", "--releases",
+                   tmp_path / "missing.json", "--multistart", "0", "--out", tmp_path) == 1
+    assert "multistart must be >= 1" in caplog.text
+    assert run_cli("simulate", "--model", "LN", "--params", "1,0", "--horizon", "12",
+                   "--noise", "multiplicative", "--magnitude", "nan", "--out", tmp_path) == 1
+    assert "noise magnitude must be finite and >= 0" in caplog.text
     # malformed track and metric files are errors naming the file and row,
     # not tracebacks or silently different metrics
     header = "product,version,dataset,model,msr,status,classification,p_value,chi2,valid\n"
@@ -625,6 +633,12 @@ def test_errors_exit_nonzero(tmp_path, caplog):
     no_value.write_text("group,msr\na,7\nb,7\n")
     assert run_cli("compare", "--series", no_value, "--out", tmp_path) == 1
     assert f"{no_value}: row 1: missing column(s) value" in caplog.text
+    # NaN has no rank order: a non-finite value is an error, not a rank
+    for value in ("nan", "inf"):
+        odd = tmp_path / f"{value}_value.csv"
+        odd.write_text(f"group,msr,value\na,7,0.5\nb,7,0.25\na,8,{value}\nb,8,0.75\n")
+        assert run_cli("compare", "--series", odd, "--out", tmp_path) == 1
+        assert f"{odd}: row 3: value must be finite" in caplog.text
 
 
 def test_per_triple_failures_recorded_without_aborting(world, tmp_path, caplog):

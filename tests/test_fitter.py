@@ -7,7 +7,6 @@ import pytest
 from vdmfit import fitter
 from vdmfit.datasets import DatasetKind, ObservationSeries
 from vdmfit.fitter import (
-    FitOptions,
     InsufficientDataError,
     fit,
     initial_guesses,
@@ -23,9 +22,11 @@ def _series(points):
     return ObservationSeries("p", "v", DatasetKind.NVD, tuple(points))
 
 
-def test_fit_options_validation():
-    with pytest.raises(ValueError):
-        FitOptions(multistart_grid_size=0)
+def test_multistart_validation():
+    series = exact_series("AML", (0.004, 120.0, 1.0), 24)
+    for model in ("AML", "RE", "LN"):
+        with pytest.raises(ValueError, match="multistart must be >= 1"):
+            fit(series, model, multistart=0)
 
 
 def test_insufficient_data():

@@ -11,11 +11,11 @@ from vdmfit.gof import (
     InvalidExpectedError,
     chi_square_statistic,
     classify,
-    p_value,
 )
 from vdmfit.gof import test_fit as run_gof_test
 from vdmfit.models import ParamVector
 from vdmfit.simulate import NoiseKind, NoiseSpec, exact_series, generate
+from vdmfit.stats import chi_square_survival
 
 from oracles import load_chi2_oracle
 
@@ -54,16 +54,16 @@ def test_chi_square_invalid_expected():
 
 def test_p_value_of_zero_statistic():
     for dof in range(1, 31):
-        assert p_value(0.0, dof) == 1.0
+        assert chi_square_survival(0.0, dof) == 1.0
 
 
 def test_p_value_spot_critical_value():
-    assert p_value(3.841, 1) == pytest.approx(0.050, abs=0.001)
+    assert chi_square_survival(3.841, 1) == pytest.approx(0.050, abs=0.001)
 
 
 def test_p_value_matches_frozen_quadrature_oracle():
     for entry in load_chi2_oracle():
-        assert p_value(entry["chi2"], entry["dof"]) == pytest.approx(
+        assert chi_square_survival(entry["chi2"], entry["dof"]) == pytest.approx(
             entry["p"], abs=1e-6
         ), entry
 
@@ -71,7 +71,7 @@ def test_p_value_matches_frozen_quadrature_oracle():
 def test_p_value_spot_against_live_quadrature():
     from oracles import chi2_survival_quadrature
 
-    assert p_value(30.0, 10) == pytest.approx(
+    assert chi_square_survival(30.0, 10) == pytest.approx(
         chi2_survival_quadrature(30.0, 10), abs=1e-6
     )
 
@@ -79,7 +79,7 @@ def test_p_value_spot_against_live_quadrature():
 def test_p_value_strictly_decreasing():
     for dof in (1, 4, 10, 30):
         xs = [0.01 * 1.5 ** k for k in range(30)]
-        ps = [p_value(x, dof) for x in xs]
+        ps = [chi_square_survival(x, dof) for x in xs]
         assert all(b <= a for a, b in zip(ps, ps[1:]))
         # strictly decreasing wherever double precision can resolve the tail
         resolvable = [
@@ -165,6 +165,6 @@ def test_too_few_points_raises():
 def test_json_serialization():
     series = _series([(t, 2.0 * t) for t in range(1, 8)])
     result = run_gof_test(series, fit(series, "LN"))
-    assert result.model_id == "LN"
+    assert result.params.model_id == "LN"
     assert result.classification is FitClass.GOOD_FIT
     assert result.dof == 5

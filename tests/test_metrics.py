@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vdmfit.fitter import FitOptions, fit
+from vdmfit.fitter import fit
 from vdmfit.gof import FitClass
 from vdmfit.gof import test_fit as run_gof_test
 from vdmfit.metrics import (
@@ -13,7 +13,6 @@ from vdmfit.metrics import (
     aggregate_quality,
     classify_transition,
     entropy_at,
-    median,
     quality_at,
     rolling_gof,
 )
@@ -106,18 +105,24 @@ def test_quality_errors():
 
 
 def test_median_conventions():
-    assert median([3.0]) == 3.0
-    assert median([1.0, 2.0, 4.0]) == 2.0
-    assert median([1.0, 2.0, 4.0, 10.0]) == 3.0
-    with pytest.raises(ValueError):
-        median([])
+    # four curves, quality F/4 per month: 0.25, 1.0, 0.0, 0.75, then 1.0
+    good = {1: 1, 2: 4, 3: 0, 4: 3, 5: 4}
+    states = {f"c{i}": {m: F if i < n else NF for m, n in good.items()} for i in range(4)}
+    even = aggregate_quality({c: {m: sts[m] for m in range(1, 5)} for c, sts in states.items()})
+    # an even count takes the mean of the two central values
+    assert even.grand_median == (0.25 + 0.75) / 2
+    assert even.first_half_median == (0.25 + 1.0) / 2
+    assert even.second_half_median == (0.0 + 0.75) / 2
+    # an odd count takes the middle value
+    odd = aggregate_quality(states)
+    assert odd.grand_median == 0.75
+    assert odd.first_half_median == 0.25
 
 
 def test_aggregate_entropy_single_stable_curve():
     states = {"c1": {1: F, 2: F, 3: F, 4: F}}
     series = aggregate_entropy(states, beta=1.0, group="g")
-    assert series.values == (0.0, 0.0, 0.0)
-    assert series.months == (2, 3, 4)
+    assert series.points == ((2, 0.0), (3, 0.0), (4, 0.0))
     assert series.grand_median == 0.0
     assert series.first_half_median == 0.0
     assert series.second_half_median == 0.0
@@ -129,7 +134,7 @@ def test_aggregate_entropy_simultaneous_big_jumps():
         "c2": {1: F, 2: F, 3: NF, 4: NF},
     }
     series = aggregate_entropy(states, beta=1.0)
-    assert series.values == (0.0, 1.0, 0.0)
+    assert [v for _, v in series.points] == [0.0, 1.0, 0.0]
 
 
 def brute_force_entropy(states_by_curve, beta):
@@ -236,14 +241,13 @@ def test_rolling_gof_exact_linear_all_good():
 
 
 def test_rolling_gof_matches_independent_prefix_refits():
-    options = FitOptions(multistart_grid_size=2)
     series = generate(
         "RE", (90.0, 0.06), 24, NoiseSpec(NoiseKind.MULTIPLICATIVE, 0.05, seed=8)
     )
-    rolled = rolling_gof(series, "RE", options=options)
+    rolled = rolling_gof(series, "RE", multistart=2)
     for m, res in rolled:
         prefix = series.truncated(m)
-        independent = run_gof_test(prefix, fit(prefix, "RE", options))
+        independent = run_gof_test(prefix, fit(prefix, "RE", 2))
         assert res is not None
         assert independent.classification is res.classification
         assert independent.p_value == pytest.approx(res.p_value)
@@ -268,7 +272,7 @@ def test_states_from_results_maps_invalid_to_notfit():
     series = exact_series("LN", (2.0, 3.0), 8)
     assert set(states(series, rolling_gof(series, "LN")).values()) == {FitClass.GOOD_FIT}
     fake = FitResult(
-        "LN", ParamVector("LN", (1.0, -5.0)), float("inf"), 4, 0.0, FitClass.GOOD_FIT, valid=False,
+        ParamVector("LN", (1.0, -5.0)), float("inf"), 4, 0.0, FitClass.GOOD_FIT, valid=False,
         converged=True, sse=0.0,
     )
     assert states(series, [(6, fake), (7, None)]) == {6: FitClass.NOT_FIT}

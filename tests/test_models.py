@@ -12,10 +12,9 @@ from vdmfit.models import (
     DomainError,
     ParamVector,
     UnknownModelError,
-    default_domain,
     evaluate,
     gradient,
-    param_count,
+    spec,
 )
 
 from oracles import aml_value_highprec, central_difference_gradient
@@ -23,24 +22,24 @@ from oracles import aml_value_highprec, central_difference_gradient
 
 def test_registry_is_exhaustive_and_consistent():
     assert set(MODELS) == set(MODEL_IDS) == {"AML", "AT", "LN", "LP", "RE", "RQ"}
-    assert param_count("AML") == 3
+    assert spec("AML").param_count == 3
     for mid in ("AT", "LN", "LP", "RE", "RQ"):
-        assert param_count(mid) == 2
+        assert spec(mid).param_count == 2
     t = np.arange(1.0, 9.0)
     series = ObservationSeries("p", "1", DatasetKind.NVD, tuple((int(m), 2.0 * m) for m in t))
-    for mid, spec in MODELS.items():
-        assert spec.id == mid
-        assert len(spec.param_names) == spec.param_count
-        assert len(spec.domain) == spec.param_count
-        assert spec.jacobian(np.full(spec.param_count, 0.5), t).shape == (t.size, spec.param_count)
-        assert len(spec.launch) <= spec.param_count
-        assert set(spec.launch) <= {"rate", "asym", "level"}
-        n_solved = spec.param_count - len(spec.launch)
-        if spec.launch:
+    for mid, row in MODELS.items():
+        assert row.id == mid
+        assert len(row.param_names) == row.param_count
+        assert len(row.domain) == row.param_count
+        assert row.jacobian(np.full(row.param_count, 0.5), t).shape == (t.size, row.param_count)
+        assert len(row.launch) <= row.param_count
+        assert set(row.launch) <= {"rate", "asym", "level"}
+        n_solved = row.param_count - len(row.launch)
+        if row.launch:
             # the projected Jacobian is one iterated column projected off
             # one solved basis vector
             assert n_solved <= 1
-            assert n_solved == 0 or len(spec.launch) == 1
+            assert n_solved == 0 or len(row.launch) == 1
         # the rule the fitter relies on: the curve is the Jacobian columns
         # of the solved parameters at unit amplitude times their values,
         # bit for bit for one amplitude, whose basis is the curve at unit
@@ -48,19 +47,19 @@ def test_registry_is_exhaustive_and_consistent():
         cases = (((3.7, -0.4), 0.05), ((1e12, 2.0), 1e-12)) if n_solved else ()
         for amplitudes, rate in cases:
             a = np.array(amplitudes[:n_solved])
-            z = np.full(len(spec.launch), rate)
-            basis = spec.jacobian(np.concatenate((np.ones(n_solved), z)), t)[:, :n_solved]
-            curve = spec.curve(np.concatenate((a, z)), t)
+            z = np.full(len(row.launch), rate)
+            basis = row.jacobian(np.concatenate((np.ones(n_solved), z)), t)[:, :n_solved]
+            curve = row.curve(np.concatenate((a, z)), t)
             if n_solved == 1:
                 assert np.array_equal(curve, a[0] * basis[:, 0]), mid
-                unit = spec.curve(np.concatenate((np.ones(1), z)), t)
+                unit = row.curve(np.concatenate((np.ones(1), z)), t)
                 assert np.array_equal(unit, basis[:, 0]), mid
             else:
                 np.testing.assert_allclose(curve, basis @ a, rtol=1e-12, err_msg=mid)
         for grid_size in (1, 2, 3):
-            assert len(initial_guesses(series, mid, grid_size)) == grid_size ** len(spec.launch)
+            assert len(initial_guesses(series, mid, grid_size)) == grid_size ** len(row.launch)
     with pytest.raises(UnknownModelError):
-        param_count("XX")
+        spec("XX")
 
 
 def test_param_vector_validation():
@@ -204,13 +203,13 @@ def test_re_strictly_increasing_and_bounded():
     assert evaluate("RE", params, 1e6) == pytest.approx(100.0, abs=1e-6 * 100.0)
 
 
-def test_default_domains():
+def test_fitting_domains():
     inf = math.inf
-    assert default_domain("AML") == (((0.0, inf),) * 3)
-    assert default_domain("LP") == (((0.0, inf),) * 2)
-    assert default_domain("RE") == (((0.0, inf),) * 2)
+    assert spec("AML").domain == (((0.0, inf),) * 3)
+    assert spec("LP").domain == (((0.0, inf),) * 2)
+    assert spec("RE").domain == (((0.0, inf),) * 2)
     for mid in ("AT", "LN", "RQ"):
-        assert default_domain(mid) == (((-inf, inf),) * 2)
+        assert spec(mid).domain == (((-inf, inf),) * 2)
 
 
 _VALID_PARAMS = {
@@ -237,7 +236,7 @@ def test_non_finite_or_non_positive_t_is_a_domain_error(kernel, mid):
         kernel(mid, params, np.array([1.0, 0.0, 3.0]))
     # an empty t is no error: it evaluates to an empty result
     empty = kernel(mid, params, np.array([]))
-    assert empty.shape == ((0,) if kernel is evaluate else (0, param_count(mid)))
+    assert empty.shape == ((0,) if kernel is evaluate else (0, spec(mid).param_count))
 
 
 @pytest.mark.parametrize("kernel", [evaluate, gradient])
@@ -269,9 +268,9 @@ def test_gradient_is_a_c_contiguous_float64_matrix():
     t = np.arange(1.0, 13.0)
     for mid, params in _VALID_PARAMS.items():
         jac = gradient(mid, params, t)
-        assert jac.shape == (t.size, param_count(mid)), mid
+        assert jac.shape == (t.size, spec(mid).param_count), mid
         assert jac.dtype == np.float64 and jac.flags.c_contiguous, mid
         point = gradient(mid, params, 4.0)
-        assert point.shape == (param_count(mid),), mid
+        assert point.shape == (spec(mid).param_count,), mid
         assert point.dtype == np.float64, mid
         np.testing.assert_allclose(point, jac[3], rtol=1e-14, err_msg=mid)

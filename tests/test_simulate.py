@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from vdmfit.datasets import (
@@ -96,7 +98,9 @@ def test_corpus_round_trips_all_dataset_kinds():
 
 
 def test_noise_magnitude_validation():
-    with pytest.raises(ValueError):
-        NoiseSpec(NoiseKind.MULTIPLICATIVE, -0.1, 0)
+    for magnitude in (-0.1, math.nan, math.inf):
+        for kind in NoiseKind:
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                NoiseSpec(kind, magnitude, 0)
     with pytest.raises(ValueError):
         generate("LN", (1.0, 0.0), 0)
