@@ -16,6 +16,7 @@ run. The metric commands carry ``as_of``, ``start_msr`` and
 from __future__ import annotations
 
 import argparse
+import concurrent.futures  # its process pool, and multiprocessing, load on first use
 import csv
 import hashlib
 import json
@@ -23,7 +24,6 @@ import logging
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from pathlib import Path
@@ -95,6 +95,12 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
         if self.multistart < 1:
             raise ValueError("multistart must be >= 1")
+        if self.as_of:
+            try:  # strict on every Python: 3.11 also reads forms such as 20090131
+                if date.fromisoformat(self.as_of).isoformat() != self.as_of:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"as_of must be a date YYYY-MM-DD, got {self.as_of!r}") from None
 
     def config_hash(self) -> str:
         # hash the analysis parameters, not file locations or scheduling:
@@ -133,21 +139,20 @@ def _config_value_ok(value: object, annotation: str) -> bool:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
-            raise ValueError(f"{config_path}: config must be a JSON object")
+            raise ValueError(f"{args.config}: config must be a JSON object")
         unknown = set(loaded) - set(_CONFIG_TYPES)
         if unknown:
-            raise ValueError(f"{config_path}: unknown config keys {sorted(unknown)}")
+            raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
         for key, value in loaded.items():
             if not _config_value_ok(value, _CONFIG_TYPES[key]):
-                raise ValueError(f"{config_path}: config key {key!r} must be {_CONFIG_TYPES[key]}")
+                raise ValueError(f"{args.config}: config key {key!r} must be {_CONFIG_TYPES[key]}")
         data.update(loaded)
     for key in _CONFIG_TYPES:
-        value = getattr(args, key, None)
+        value = getattr(args, key, None)  # each command has flags for some fields only
         if value is not None:
             data[key] = value
     # a config file may write a weight as an int: 1 and 1.0 are one analysis
@@ -182,9 +187,8 @@ def _write_csv(
 def _write_json(path: Path, payload: Mapping[str, object], meta: Mapping[str, object]) -> None:
     doc = {"meta": dict(meta)}
     doc.update(payload)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8", newline="\n")
     log.info("wrote %s", path)
 
 
@@ -304,7 +308,7 @@ def _track_job(payload: tuple[ObservationSeries, str, int, int]):
 def _run_jobs(func, payloads: Sequence, workers: int) -> list:
     if workers <= 1:
         return [func(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, payloads))
 
 
@@ -634,22 +638,6 @@ def cmd_import(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--corpus", help="normalized corpus (newline-delimited JSON)")
-    p.add_argument("--releases", help="releases JSON file")
-    p.add_argument("--datasets", type=_csv_list, help=f"comma list of {','.join(_ALL_DATASETS)}")
-    p.add_argument("--models", type=_csv_list, help=f"comma list of {','.join(MODEL_IDS)}")
-    p.add_argument("--start-msr", dest="start_msr", type=int)
-    p.add_argument("--beta", type=_csv_floats, help="comma list of entropy beta weights")
-    p.add_argument("--omega", type=_csv_floats, help="comma list of quality omega weights")
-    p.add_argument("--out", help="output directory (default: out)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--multistart", type=int)
-    p.add_argument("--as-of", dest="as_of", help="observation cutoff date YYYY-MM-DD")
-
-
 def _csv_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
@@ -666,33 +654,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"vdmfit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("import", help="validate and normalize a corpus")
-    _add_shared_flags(p)
-    p.set_defaults(run=cmd_import)
+    # each command takes the flags it reads; a config file may set any RunConfig field
+    session = argparse.ArgumentParser(add_help=False)
+    session.add_argument("--config", help="JSON config file; flags override its values")
+    session.add_argument("--out", help="output directory (default: out)")
+    inputs = argparse.ArgumentParser(add_help=False, parents=[session])
+    inputs.add_argument("--corpus", help="normalized corpus (newline-delimited JSON)")
+    inputs.add_argument("--releases", help="releases JSON file")
+    curves = argparse.ArgumentParser(add_help=False, parents=[inputs])
+    curves.add_argument("--as-of", dest="as_of", help="observation cutoff date YYYY-MM-DD")
+    curves.add_argument(
+        "--datasets", type=_csv_list, help=f"comma list of {','.join(_ALL_DATASETS)}"
+    )
+    curves.add_argument("--models", type=_csv_list, help=f"comma list of {','.join(MODEL_IDS)}")
+    curves.add_argument("--multistart", type=int, help="grid nodes per launch axis")
+    curves.add_argument("--workers", type=int)
 
-    p = sub.add_parser("fit", help="fit every (release x dataset x model) triple")
-    _add_shared_flags(p)
-    p.set_defaults(run=cmd_fit)
-
-    p = sub.add_parser("track", help="rolling goodness-of-fit per month")
-    _add_shared_flags(p)
-    p.set_defaults(run=cmd_track)
-
-    for name, run in (("entropy", cmd_entropy), ("quality", cmd_quality)):
-        p = sub.add_parser(name, help=f"{name} series and medians from rolling states")
-        _add_shared_flags(p)
+    def command(name, parent, run, text):
+        p = sub.add_parser(name, parents=[parent], help=text)
         p.set_defaults(run=run)
+        return p
+
+    command("import", inputs, cmd_import, "validate and normalize a corpus")
+    command("fit", curves, cmd_fit, "fit every (release x dataset x model) triple")
+    p = command("track", curves, cmd_track, "rolling goodness-of-fit per month")
+    p.add_argument("--start-msr", dest="start_msr", type=int)
+
+    for name, run, weight in (("entropy", cmd_entropy, "beta"), ("quality", cmd_quality, "omega")):
+        p = command(name, session, run, f"{name} series and medians from rolling states")
         p.add_argument("--track", required=True, help="track.csv written by the track command")
+        p.add_argument(f"--{weight}", type=_csv_floats, help=f"comma list of {weight} weights")
         p.add_argument(
-            "--group-by",
-            dest="group_by",
-            choices=("dataset", "model"),
+            "--group-by", choices=("dataset", "model"),
             help="pooling (default: dataset for entropy, model for quality)",
         )
 
-    p = sub.add_parser("compare", help="rank tests across metric-series groups")
-    _add_shared_flags(p)
-    p.set_defaults(run=cmd_compare)
+    p = command("compare", session, cmd_compare, "rank tests across metric-series groups")
     p.add_argument("--series", required=True, help="metric CSV with group,msr,value rows")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument(
@@ -700,9 +697,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--baseline", help="test this group against every other (default: all pairs)")
 
-    p = sub.add_parser("simulate", help="generate a synthetic series or corpus")
-    _add_shared_flags(p)
-    p.set_defaults(run=cmd_simulate)
+    p = command("simulate", session, cmd_simulate, "generate a synthetic series or corpus")
+    p.add_argument("--seed", type=int)
     p.add_argument("--model", required=True, choices=MODEL_IDS)
     p.add_argument("--params", required=True, help="comma list of parameter values")
     p.add_argument("--horizon", type=int, required=True)

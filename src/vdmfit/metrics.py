@@ -23,7 +23,6 @@ msr -> state mapping per curve, which the CLI reads from a track file.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -104,17 +103,20 @@ class MetricSeries:
     """One metric value per observation month plus median summaries.
 
     The half-period split is on the month axis: mid = (start+end)//2,
-    first half covers [start, mid], second half (mid, end].
+    first half covers [start, mid], second half (mid, end]. A series of
+    one point has an empty second half, whose median is None.
     """
 
     group: str
     points: tuple[tuple[int, float], ...]
     grand_median: float
     first_half_median: float
-    second_half_median: float
+    second_half_median: float | None
 
 
 def _series_with_medians(group: str, points: list[tuple[int, float]]) -> MetricSeries:
+    import statistics  # here: it loads decimal and fractions, which only medians need
+
     if not points:
         raise EmptyStepError(f"group {group!r} produced no metric points")
     start, end = points[0][0], points[-1][0]
@@ -125,8 +127,8 @@ def _series_with_medians(group: str, points: list[tuple[int, float]]) -> MetricS
         group,
         tuple(points),
         grand_median=statistics.median([v for _, v in points]),
-        first_half_median=statistics.median(first) if first else float("nan"),
-        second_half_median=statistics.median(second) if second else float("nan"),
+        first_half_median=statistics.median(first),  # never empty: start <= mid
+        second_half_median=statistics.median(second) if second else None,
     )
 
 

@@ -314,23 +314,26 @@ def _run_pipeline(base: Path, seed: int) -> Path:
         == 0
     )
     as_of = json.loads((sim / "manifest.json").read_text())["as_of"]
-    shared = [
+    # only simulate takes --seed; the session's config file carries it to
+    # every other command, so each header records the same seed
+    config = sim / "run.json"
+    config.write_text(json.dumps({"seed": seed}))
+    session = ["--config", str(config)]
+    world = [
         "--corpus", str(sim / "corpus.ndjson"),
         "--releases", str(sim / "releases.json"),
         "--as-of", as_of,
-        "--seed", str(seed),
     ]
-    assert cli_main(["import", "--corpus", str(sim / "corpus.ndjson"),
-                     "--seed", str(seed), "--out", str(out / "import")]) == 0
-    assert cli_main(["fit", *shared, "--out", str(out / "fit")]) == 0
-    assert cli_main(["track", *shared, "--out", str(out / "track")]) == 0
-    assert cli_main(["entropy", *shared, "--track", str(out / "track" / "track.csv"),
+    assert cli_main(["import", *session, "--corpus", str(sim / "corpus.ndjson"),
+                     "--out", str(out / "import")]) == 0
+    assert cli_main(["fit", *session, *world, "--out", str(out / "fit")]) == 0
+    assert cli_main(["track", *session, *world, "--out", str(out / "track")]) == 0
+    assert cli_main(["entropy", *session, "--track", str(out / "track" / "track.csv"),
                      "--out", str(out / "entropy")]) == 0
-    assert cli_main(["quality", *shared, "--track", str(out / "track" / "track.csv"),
+    assert cli_main(["quality", *session, "--track", str(out / "track" / "track.csv"),
                      "--out", str(out / "quality")]) == 0
-    assert cli_main(["compare", "--series", str(out / "quality" / "quality_omega1.csv"),
-                     "--alternative", "two_sided", "--seed", str(seed),
-                     "--out", str(out / "compare")]) == 0
+    assert cli_main(["compare", *session, "--series", str(out / "quality" / "quality_omega1.csv"),
+                     "--alternative", "two_sided", "--out", str(out / "compare")]) == 0
     return out
 
 

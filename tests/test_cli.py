@@ -1,12 +1,15 @@
 import csv
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from vdmfit.cli import main
+from vdmfit.cli import build_parser, main
 from vdmfit.datasets import DatasetKind
 from vdmfit.simulate import NoiseKind, NoiseSpec, generate
 
@@ -596,7 +599,7 @@ def test_errors_exit_nonzero(tmp_path, caplog):
     # the metrics read a track file and never refit
     for metric in ("entropy", "quality"):
         with pytest.raises(SystemExit) as exc:
-            run_cli(metric, "--corpus", bad, "--releases", bad, "--out", tmp_path)
+            run_cli(metric, "--out", tmp_path)
         assert exc.value.code != 0
     # out-of-range metric weights are rejected up front
     assert run_cli("entropy", "--track", bad, "--beta", "0.5", "--out", tmp_path) == 1
@@ -610,6 +613,12 @@ def test_errors_exit_nonzero(tmp_path, caplog):
     assert run_cli("fit", "--corpus", tmp_path / "missing.ndjson", "--releases",
                    tmp_path / "missing.json", "--multistart", "0", "--out", tmp_path) == 1
     assert "multistart must be >= 1" in caplog.text
+    # and a cutoff that is not a YYYY-MM-DD date, named as such
+    for as_of in ("2009-13-01", "20090131"):
+        assert run_cli("fit", "--corpus", tmp_path / "missing.ndjson", "--releases",
+                       tmp_path / "missing.json", "--as-of", as_of, "--out", tmp_path) == 1
+        assert f"as_of must be a date YYYY-MM-DD, got '{as_of}'" in caplog.text
+    assert "missing.ndjson" not in caplog.text
     assert run_cli("simulate", "--model", "LN", "--params", "1,0", "--horizon", "12",
                    "--noise", "multiplicative", "--magnitude", "nan", "--out", tmp_path) == 1
     assert "noise magnitude must be finite and >= 0" in caplog.text
@@ -679,3 +688,89 @@ def test_workers_flag_gives_identical_output(world, tmp_path):
         assert run_cli("track", *shared, "--workers", workers, "--out", out) == 0
     for name in ("fits.csv", "fit_summary.json", "track.csv"):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
+
+
+# the flags each subcommand reads besides its own; a config file may still
+# set every RunConfig field
+SESSION = ("--config", "--out")
+INPUTS = SESSION + ("--corpus", "--releases")
+CURVES = INPUTS + ("--as-of", "--datasets", "--models", "--multistart", "--workers")
+COMMAND_FLAGS = {
+    "import": INPUTS,
+    "fit": CURVES,
+    "track": CURVES + ("--start-msr",),
+    "entropy": SESSION + ("--beta",),
+    "quality": SESSION + ("--omega",),
+    "compare": SESSION,
+    "simulate": SESSION + ("--seed",),
+}
+# a value each flag parses, and the attribute it sets
+FLAG_VALUES = {
+    "--config": ("run.json", "config", "run.json"),
+    "--out": ("o", "out", "o"),
+    "--corpus": ("c.ndjson", "corpus", "c.ndjson"),
+    "--releases": ("r.json", "releases", "r.json"),
+    "--as-of": ("2009-01-31", "as_of", "2009-01-31"),
+    "--datasets": ("NVD,Bug", "datasets", ["NVD", "Bug"]),
+    "--models": ("AML,LN", "models", ["AML", "LN"]),
+    "--multistart": ("2", "multistart", 2),
+    "--workers": ("2", "workers", 2),
+    "--start-msr": ("7", "start_msr", 7),
+    "--beta": ("1,3", "beta", [1.0, 3.0]),
+    "--omega": ("2", "omega", [2.0]),
+    "--seed": ("9", "seed", 9),
+}
+REQUIRED = {
+    "entropy": ("--track", "t.csv"),
+    "quality": ("--track", "t.csv"),
+    "compare": ("--series", "s.csv"),
+    "simulate": ("--model", "AML", "--params", "1,2,3", "--horizon", "6"),
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads(capsys):
+    assert sum(map(len, COMMAND_FLAGS.values())) == 34
+    parser = build_parser()
+    for command, flags in COMMAND_FLAGS.items():
+        for flag in flags:
+            value, attr, parsed = FLAG_VALUES[flag]
+            args = parser.parse_args([command, *REQUIRED.get(command, ()), flag, value])
+            assert getattr(args, attr) == parsed, (command, flag)
+    dropped = [(c, f) for c in COMMAND_FLAGS for f in FLAG_VALUES if f not in COMMAND_FLAGS[c]]
+    assert len(dropped) == 57
+    for command, flag in dropped:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *REQUIRED.get(command, ()), flag, FLAG_VALUES[flag][0])
+        assert exc.value.code == 2, (command, flag)
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_summaries_are_strict_json_with_null_for_an_empty_half(world, tmp_path):
+    # from MSR 23 of 24 there is one entropy step, so no second half
+    assert run_cli("track", "--corpus", world["corpus"], "--releases", world["releases"],
+                   "--as-of", world["as_of"], "--models", "LN,RE", "--start-msr", "23",
+                   "--out", tmp_path) == 0
+    assert run_cli("entropy", "--track", tmp_path / "track.csv", "--out", tmp_path) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    summary = json.loads((tmp_path / "entropy_summary.json").read_text(), parse_constant=reject)
+    medians = summary["medians_by_beta"]["1"]
+    assert medians and all(m["second_half_median"] is None for m in medians.values())
+    assert all(m["first_half_median"] == m["grand_median"] for m in medians.values())
+
+
+def test_cli_import_leaves_statistics_and_multiprocessing_unloaded():
+    probe = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import vdmfit.cli\n"
+        "print(sorted({'statistics', 'multiprocessing'} & (set(sys.modules) - before)))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
