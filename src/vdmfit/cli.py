@@ -89,6 +89,10 @@ class RunConfig:
             raise ValueError("beta weights must be finite and >= 1")
         if not self.omega or not all(math.isfinite(w) and w >= 1.0 for w in self.omega):
             raise ValueError("omega weights must be finite and >= 1")
+        for name in ("models", "datasets", "beta", "omega"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
         if self.start_msr < 1:
             raise ValueError("start_msr must be >= 1")
         if self.workers < 1:
@@ -150,7 +154,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         for key, value in loaded.items():
             if not _config_value_ok(value, _CONFIG_TYPES[key]):
                 raise ValueError(f"{args.config}: config key {key!r} must be {_CONFIG_TYPES[key]}")
-        data.update(loaded)
+        # a key without a flag on this command is checked, then ignored, so
+        # the header and config_hash hold only the settings the command reads
+        data.update((key, value) for key, value in loaded.items() if hasattr(args, key))
     for key in _CONFIG_TYPES:
         value = getattr(args, key, None)  # each command has flags for some fields only
         if value is not None:
@@ -194,18 +200,18 @@ def _write_json(path: Path, payload: Mapping[str, object], meta: Mapping[str, ob
 
 def _read_csv(cfg: RunConfig, path: str | Path) -> tuple[dict, list[dict]]:
     """The metadata for what a command writes from a CSV file, and the
-    file's rows. The file's ``# key: value`` header gives ``as_of``,
-    ``start_msr`` and ``config_hash``: they describe its data, not the
-    command's defaults."""
+    file's rows. The leading ``#`` lines are the metadata block, whose
+    ``# key: value`` lines give ``as_of``, ``start_msr`` and
+    ``config_hash``: they describe its data, not the command's defaults."""
     header = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = []
         for line in fh:
-            if line.startswith("# "):
+            if lines or not line.startswith("#"):
+                lines.append(line)
+            elif line.startswith("# "):
                 key, _, value = line[2:].rstrip("\n").partition(": ")
                 header[key] = value
-            elif not line.startswith("#"):
-                lines.append(line)
         rows = list(csv.DictReader(lines))
     try:
         meta = cfg.metadata() | {
@@ -338,7 +344,9 @@ def _fit_curves(cfg: RunConfig, start_msr: int | None) -> tuple[list, list[dict]
         error = None
         if status == "error":
             error, months = months, [(m, None) for m in range(first, series.last_msr + 1)]
-        elif months and months[-1][1] is None:
+        elif not months:
+            error = f"series ends at MSR {series.last_msr}, before MSR {first}"
+        elif months[-1][1] is None:
             error = f"series of {len(series.points)} points too short for {model_id}"
         if error is not None:
             log.warning("fit failed for %s %s %s %s: %s", *series.key(), model_id, error)
@@ -369,8 +377,8 @@ def _result_row(series: ObservationSeries, model_id: str, result: FitResult | No
         "p_value": repr(result.p_value),
         "chi2": repr(result.chi_square),
         "valid": result.valid,
-        "converged": result.converged,
-        "sse": repr(result.sse),
+        "converged": result.outcome.converged,
+        "sse": repr(result.outcome.sse),
     }
 
 
@@ -388,7 +396,7 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
         else:
             row.update(
                 param_names=";".join(spec(model_id).param_names),
-                params=_param_csv(result.params.values),
+                params=_param_csv(result.outcome.params.values),
                 dof=result.dof,
             )
             summary[model_id][result.classification.value] += 1
@@ -448,10 +456,8 @@ def _state_matrices(
     return groups
 
 
-def _metric_series_rows(series) -> list[dict]:
-    return [
-        {"group": series.group, "msr": m, "value": repr(v)} for m, v in series.points
-    ]
+def _metric_series_rows(group: str, series) -> list[dict]:
+    return [{"group": group, "msr": m, "value": repr(v)} for m, v in series.points]
 
 
 def _fmt_weight(w: float) -> str:
@@ -476,11 +482,11 @@ def _cmd_metric(cfg: RunConfig, args: argparse.Namespace, which: str) -> int:
         csv_rows: list[dict] = []
         for group in sorted(matrices):
             try:
-                series = aggregate(matrices[group], w, group=group)
+                series = aggregate(matrices[group], w)
             except ValueError as exc:
                 log.warning("%s: group %s skipped: %s", which, group, exc)
                 continue
-            csv_rows.extend(_metric_series_rows(series))
+            csv_rows.extend(_metric_series_rows(group, series))
             summary.setdefault(_fmt_weight(w), {})[group] = {
                 "grand_median": series.grand_median,
                 "first_half_median": series.first_half_median,

@@ -20,7 +20,6 @@ import numpy as np
 from . import models, stats
 from .datasets import ObservationSeries
 from .fitter import FitOutcome, InsufficientDataError
-from .models import ParamVector
 
 __all__ = [
     "FitClass",
@@ -65,15 +64,12 @@ def classify(p: float) -> FitClass:
 
 @dataclass(frozen=True)
 class FitResult:
-    params: ParamVector
+    outcome: FitOutcome  # the fit tested
     chi_square: float
     dof: int
     p_value: float
     classification: FitClass
     valid: bool
-    # from the FitOutcome tested: did the fitter converge, and its SSE
-    converged: bool
-    sse: float
 
 
 def test_fit(series: ObservationSeries, outcome: FitOutcome) -> FitResult:
@@ -92,11 +88,10 @@ def test_fit(series: ObservationSeries, outcome: FitOutcome) -> FitResult:
         raise InsufficientDataError(f"need more than {len(params.values)} points, got {n}")
     t = np.array(series.months, dtype=float)
     observed = np.array(series.counts, dtype=float)
-    fitted = {"converged": outcome.converged, "sse": outcome.sse}
     try:
         expected = models.evaluate(params.model_id, params.values, t)
         chi2 = chi_square_statistic(observed, expected)
     except (InvalidExpectedError, models.DomainError):
-        return FitResult(params, math.inf, dof, 0.0, FitClass.NOT_FIT, valid=False, **fitted)
+        return FitResult(outcome, math.inf, dof, 0.0, FitClass.NOT_FIT, valid=False)
     p = stats.chi_square_survival(chi2, dof)
-    return FitResult(params, chi2, dof, p, classify(p), valid=True, **fitted)
+    return FitResult(outcome, chi2, dof, p, classify(p), valid=True)

@@ -107,24 +107,22 @@ class MetricSeries:
     one point has an empty second half, whose median is None.
     """
 
-    group: str
     points: tuple[tuple[int, float], ...]
     grand_median: float
     first_half_median: float
     second_half_median: float | None
 
 
-def _series_with_medians(group: str, points: list[tuple[int, float]]) -> MetricSeries:
+def _series_with_medians(points: list[tuple[int, float]]) -> MetricSeries:
     import statistics  # here: it loads decimal and fractions, which only medians need
 
     if not points:
-        raise EmptyStepError(f"group {group!r} produced no metric points")
+        raise EmptyStepError("no metric points")
     start, end = points[0][0], points[-1][0]
     mid = (start + end) // 2
     first = [v for m, v in points if m <= mid]
     second = [v for m, v in points if m > mid]
     return MetricSeries(
-        group,
         tuple(points),
         grand_median=statistics.median([v for _, v in points]),
         first_half_median=statistics.median(first),  # never empty: start <= mid
@@ -142,9 +140,7 @@ def _columns(per_curve_states: StateMatrix) -> list[int]:
     return cols
 
 
-def aggregate_entropy(
-    per_curve_states: StateMatrix, beta: float = 1.0, group: str = ""
-) -> MetricSeries:
+def aggregate_entropy(per_curve_states: StateMatrix, beta: float = 1.0) -> MetricSeries:
     """Entropy per step, pooling transitions across all curves of the
     group; curves missing either end of a step are skipped there."""
     cols = _columns(per_curve_states)
@@ -157,12 +153,10 @@ def aggregate_entropy(
         ]
         if transitions:
             points.append((cur_m, entropy_at(transitions, beta)))
-    return _series_with_medians(group, points)
+    return _series_with_medians(points)
 
 
-def aggregate_quality(
-    per_curve_states: StateMatrix, omega: float = 1.0, group: str = ""
-) -> MetricSeries:
+def aggregate_quality(per_curve_states: StateMatrix, omega: float = 1.0) -> MetricSeries:
     """Quality per observation month, pooling state counts across all
     curves of the group."""
     cols = _columns(per_curve_states)
@@ -177,7 +171,7 @@ def aggregate_quality(
             points.append(
                 (m, quality_at((n[FitClass.GOOD_FIT], n[FitClass.INCONCLUSIVE], n[FitClass.NOT_FIT]), omega))
             )
-    return _series_with_medians(group, points)
+    return _series_with_medians(points)
 
 
 def rolling_gof(

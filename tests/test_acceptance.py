@@ -314,8 +314,9 @@ def _run_pipeline(base: Path, seed: int) -> Path:
         == 0
     )
     as_of = json.loads((sim / "manifest.json").read_text())["as_of"]
-    # only simulate takes --seed; the session's config file carries it to
-    # every other command, so each header records the same seed
+    # only simulate takes --seed, so only it reads the session config's
+    # seed; every other command checks the key, then ignores it, and its
+    # header reads the default seed
     config = sim / "run.json"
     config.write_text(json.dumps({"seed": seed}))
     session = ["--config", str(config)]

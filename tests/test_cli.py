@@ -566,14 +566,29 @@ def test_config_file_with_flag_override(world, tmp_path, caplog):
     rows = read_csv(tmp_path / "from_config" / "fits.csv")
     assert {r["model"] for r in rows} == {"LN", "RE"}
 
+    # a key that fit has no flag for is checked, then ignored: same bytes
+    unread = tmp_path / "unread.json"
+    unread.write_text(json.dumps(
+        settings | {"seed": 5, "omega": [3], "start_msr": 40, "out": str(tmp_path / "unread")}))
+    assert run_cli("fit", "--config", unread) == 0
+    for name in ("fits.csv", "fit_summary.json"):
+        unread_bytes = (tmp_path / "unread" / name).read_bytes()
+        assert unread_bytes == (tmp_path / "from_config" / name).read_bytes()
+
     # whole-number weights are the default weights: one hash, one header
+    track = tmp_path / "track.csv"
+    track.write_text(
+        "product,version,dataset,model,msr,status,classification,valid\n"
+        "p,v,NVD,LN,6,ok,GoodFit,True\np,v,NVD,LN,7,ok,NotFit,True\n"
+    )
     int_weights = tmp_path / "int_weights.json"
-    int_weights.write_text(json.dumps(
-        settings | {"beta": [1, 2], "omega": [1, 2], "out": str(tmp_path / "int_weights")}))
-    assert run_cli("fit", "--config", int_weights) == 0
-    header = read_header(tmp_path / "int_weights" / "fits.csv")
-    assert header == read_header(tmp_path / "from_config" / "fits.csv")
-    assert header["beta"] == header["omega"] == "[1.0, 2.0]"
+    int_weights.write_text(json.dumps(settings | {"beta": [1, 2], "omega": [1, 2]}))
+    for name, path in (("float_weights", config), ("int_weights", int_weights)):
+        assert run_cli("entropy", "--config", path, "--track", track,
+                       "--out", tmp_path / name) == 0
+    meta = read_json(tmp_path / "int_weights" / "entropy_summary.json")["meta"]
+    assert meta == read_json(tmp_path / "float_weights" / "entropy_summary.json")["meta"]
+    assert meta["beta"] == "[1.0, 2.0]"
 
     code = run_cli("fit", "--config", config, "--models", "AT", "--out", tmp_path / "override")
     assert code == 0
@@ -648,6 +663,64 @@ def test_errors_exit_nonzero(tmp_path, caplog):
         odd.write_text(f"group,msr,value\na,7,0.5\nb,7,0.25\na,8,{value}\nb,8,0.75\n")
         assert run_cli("compare", "--series", odd, "--out", tmp_path) == 1
         assert f"{odd}: row 3: value must be finite" in caplog.text
+
+
+def test_a_repeated_list_value_is_rejected_before_any_file_is_read(tmp_path, caplog):
+    missing = ("--corpus", tmp_path / "missing.ndjson", "--releases", tmp_path / "missing.json")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"models": ["RE", "LN", "RE"]}))
+    cases = (
+        (("fit", *missing, "--models", "LN,LN"),
+         "models must not repeat a value, got ['LN', 'LN']"),
+        (("fit", *missing, "--config", config),
+         "models must not repeat a value, got ['RE', 'LN', 'RE']"),
+        (("track", *missing, "--datasets", "NVD,NVD"),
+         "datasets must not repeat a value, got ['NVD', 'NVD']"),
+        (("entropy", "--track", tmp_path / "missing.csv", "--beta", "2,2.0"),
+         "beta must not repeat a value, got [2.0, 2.0]"),
+        (("quality", "--track", tmp_path / "missing.csv", "--omega", "1,3,1"),
+         "omega must not repeat a value, got [1.0, 3.0, 1.0]"),
+    )
+    for argv, message in cases:
+        caplog.clear()
+        assert run_cli(*argv, "--out", tmp_path / "out") == 1
+        assert message in caplog.text
+        assert "missing" not in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_track_past_every_series_end_warns_once_per_curve(world, tmp_path, caplog):
+    assert run_cli("track", "--corpus", world["corpus"], "--releases", world["releases"],
+                   "--as-of", world["as_of"], "--datasets", "NVD,NVD.Bug", "--models", "LN,RE",
+                   "--start-msr", "40", "--out", tmp_path) == 0
+    version = read_json(world["releases"])[0]["version"]
+    assert sorted(m for m in caplog.messages if m.startswith("fit failed for ")) == [
+        f"fit failed for synthetic {version} {kind} {model}: series ends at MSR 24, before MSR 40"
+        for kind in ("NVD", "NVD.Bug") for model in ("LN", "RE")
+    ]
+    assert read_csv(tmp_path / "track.csv") == []
+
+
+def test_a_product_starting_with_a_hash_is_data_not_metadata(tmp_path):
+    # only the leading # lines of a track file are its metadata block, so
+    # a product named #fox pools exactly as one named fox
+    pooled = {}
+    for product in ("fox", "#fox"):
+        root = tmp_path / product.replace("#", "hash_")
+        assert run_cli("simulate", "--model", "RE", "--params", "40,0.1", "--horizon", "10",
+                       "--noise", "multiplicative", "--magnitude", "0.05", "--seed", "3",
+                       "--product", product, "--out", root / "sim", "--emit-corpus") == 0
+        as_of = read_json(root / "sim" / "manifest.json")["as_of"]
+        assert run_cli("track", "--corpus", root / "sim" / "corpus.ndjson",
+                       "--releases", root / "sim" / "releases.json", "--as-of", as_of,
+                       "--datasets", "NVD,NVD.Bug", "--models", "LN,RQ", "--out", root) == 0
+        assert product in (root / "track.csv").read_text().splitlines()[-1]
+        for metric in ("entropy", "quality"):
+            assert run_cli(metric, "--track", root / "track.csv", "--out", root) == 0
+        written = [p for p in root.iterdir() if p.name.startswith(("entropy", "quality"))]
+        pooled[product] = {p.name: p.read_bytes() for p in written}
+    assert len(pooled["fox"]) == 6
+    assert pooled["#fox"] == pooled["fox"]
 
 
 def test_per_triple_failures_recorded_without_aborting(world, tmp_path, caplog):
@@ -761,6 +834,17 @@ def test_summaries_are_strict_json_with_null_for_an_empty_half(world, tmp_path):
     assert all(m["first_half_median"] == m["grand_median"] for m in medians.values())
 
 
+def _probe_output(probe: str) -> str:
+    """What a fresh Python process running ``probe`` prints, with src/
+    first on its path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    return proc.stdout.strip()
+
+
 def test_cli_import_leaves_statistics_and_multiprocessing_unloaded():
     probe = (
         "import sys, numpy\n"
@@ -768,9 +852,16 @@ def test_cli_import_leaves_statistics_and_multiprocessing_unloaded():
         "import vdmfit.cli\n"
         "print(sorted({'statistics', 'multiprocessing'} & (set(sys.modules) - before)))\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _probe_output(probe) == "[]"
+
+
+@pytest.mark.parametrize("imports", ["vdmfit", "vdmfit.stats, vdmfit.datasets"])
+def test_package_import_loads_no_submodule_and_no_numpy(imports):
+    # the package exports nothing: a name is imported from its module
+    probe = (
+        "import sys\n"
+        f"import {imports}\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('vdmfit.')))\n"
+    )
+    expected = sorted(name.strip() for name in imports.split(",") if name.strip() != "vdmfit")
+    assert _probe_output(probe) == str(expected)

@@ -165,6 +165,6 @@ def test_too_few_points_raises():
 def test_json_serialization():
     series = _series([(t, 2.0 * t) for t in range(1, 8)])
     result = run_gof_test(series, fit(series, "LN"))
-    assert result.params.model_id == "LN"
+    assert result.outcome.params.model_id == "LN"
     assert result.classification is FitClass.GOOD_FIT
     assert result.dof == 5

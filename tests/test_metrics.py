@@ -121,7 +121,7 @@ def test_median_conventions():
 
 def test_aggregate_entropy_single_stable_curve():
     states = {"c1": {1: F, 2: F, 3: F, 4: F}}
-    series = aggregate_entropy(states, beta=1.0, group="g")
+    series = aggregate_entropy(states, beta=1.0)
     assert series.points == ((2, 0.0), (3, 0.0), (4, 0.0))
     assert series.grand_median == 0.0
     assert series.first_half_median == 0.0
@@ -258,6 +258,7 @@ def test_states_from_results_maps_invalid_to_notfit():
     # is NotFit whatever its classification, a month without a result has
     # no state
     from vdmfit.cli import _result_row, _track_state
+    from vdmfit.fitter import FitOutcome
     from vdmfit.gof import FitResult
     from vdmfit.models import ParamVector
 
@@ -272,7 +273,7 @@ def test_states_from_results_maps_invalid_to_notfit():
     series = exact_series("LN", (2.0, 3.0), 8)
     assert set(states(series, rolling_gof(series, "LN")).values()) == {FitClass.GOOD_FIT}
     fake = FitResult(
-        ParamVector("LN", (1.0, -5.0)), float("inf"), 4, 0.0, FitClass.GOOD_FIT, valid=False,
-        converged=True, sse=0.0,
+        FitOutcome(ParamVector("LN", (1.0, -5.0)), 0.0, True, 0), float("inf"), 4, 0.0,
+        FitClass.GOOD_FIT, valid=False,
     )
     assert states(series, [(6, fake), (7, None)]) == {6: FitClass.NOT_FIT}
