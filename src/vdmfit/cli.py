@@ -61,6 +61,14 @@ DOF_CONVENTION = "n_points_minus_param_count"
 _ALL_DATASETS = tuple(k.value for k in DatasetKind)
 
 
+def iso_date(text: str) -> date:
+    """``text`` as a date, strictly YYYY-MM-DD (3.11 also reads 20090131)."""
+    day = date.fromisoformat(text)
+    if day.isoformat() != text:
+        raise ValueError(f"not a date YYYY-MM-DD: {text!r}")
+    return day
+
+
 @dataclass
 class RunConfig:
     corpus: str | None = None
@@ -100,9 +108,8 @@ class RunConfig:
         if self.multistart < 1:
             raise ValueError("multistart must be >= 1")
         if self.as_of:
-            try:  # strict on every Python: 3.11 also reads forms such as 20090131
-                if date.fromisoformat(self.as_of).isoformat() != self.as_of:
-                    raise ValueError
+            try:
+                iso_date(self.as_of)
             except ValueError:
                 raise ValueError(f"as_of must be a date YYYY-MM-DD, got {self.as_of!r}") from None
 
@@ -611,7 +618,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     _write_csv(out / "series.csv", columns, rows, meta)
 
     if args.emit_corpus:
-        release = Release(args.product, version, date.fromisoformat(args.release_date))
+        release = Release(args.product, version, args.release_date)
         records = corpus_records_from_series(series, release)
         corpus = Corpus(records)
         export_corpus(corpus, out / "corpus.ndjson")
@@ -629,6 +636,7 @@ def cmd_import(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not cfg.corpus:
         raise ValueError("--corpus is required")
     corpus = import_corpus(cfg.corpus)
+    releases = import_releases(cfg.releases) if cfg.releases else None
     out = _out_dir(cfg)
     export_corpus(corpus, out / "corpus.normalized.ndjson")
     counts = {kind.value: len(corpus.of_kind(kind)) for kind in RecordKind}
@@ -637,8 +645,7 @@ def cmd_import(cfg: RunConfig, args: argparse.Namespace) -> int:
         "by_kind": counts,
         "dropped_dangling_refs": [list(pair) for pair in corpus.dropped_refs],
     }
-    if cfg.releases:
-        releases = import_releases(cfg.releases)
+    if releases is not None:
         payload["releases"] = len(releases)
     _write_json(out / "import_summary.json", payload, cfg.metadata())
     return 0
@@ -713,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--product", default="synthetic")
     p.add_argument("--series-version", dest="version", default=None)
     p.add_argument("--dataset", choices=_ALL_DATASETS, default="NVD")
-    p.add_argument("--release-date", dest="release_date", default="2005-01-01")
+    p.add_argument("--release-date", dest="release_date", type=iso_date, default="2005-01-01")
     p.add_argument("--emit-corpus", action="store_true", help="also write corpus + releases")
 
     return parser

@@ -18,14 +18,15 @@ each iterated column of the Jacobian projected off the basis.
 - AML solves nothing and is iterated on all three parameters.
 
 The iteration is damped Gauss-Newton (Levenberg-Marquardt damping
-schedule) on the analytic gradients, launched from a data-driven
-multistart grid. Out-of-domain steps are projected back onto the
-parameter box, so log arguments and the AML denominator stay valid
-throughout. A launch stops after _MAX_ITERATIONS (200) iterations, or
-is converged at the first iteration that lowers the SSE by at most
-_RELATIVE_SSE_TOLERANCE (1e-9) of it. The best (lowest-SSE) launch
-wins; exact ties break to the lexicographically smallest parameter
-vector, which makes the result independent of launch order.
+schedule) on the analytic gradients. A launch is one node of a
+data-driven multistart grid over z, which lies inside the box. Steps
+out of the box are projected back onto it, so log arguments and the
+AML denominator stay valid throughout. A launch stops after
+_MAX_ITERATIONS (200) iterations, or is converged at the first
+iteration that lowers the SSE by at most _RELATIVE_SSE_TOLERANCE (1e-9)
+of it. The best (lowest-SSE) launch wins; exact ties break to the
+lexicographically smallest parameter vector, and then to the first
+launch in grid order.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ DEFAULT_MULTISTART = 3
 
 _MAX_ITERATIONS = 200
 _RELATIVE_SSE_TOLERANCE = 1e-9
-_BOUND_EPS = 1e-12
 _DAMPING_INIT = 1e-3
 _DAMPING_FACTOR = 10.0
 _DAMPING_MAX = 1e14
@@ -97,29 +97,18 @@ def sum_squared_error(
         return math.inf
 
 
-def _domain_arrays(model_id: str) -> tuple[np.ndarray, np.ndarray]:
-    box = models.spec(model_id).domain
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    # open bounds: keep strictly inside by a hair
-    lo = np.where(np.isfinite(lo), lo + _BOUND_EPS, lo)
-    hi = np.where(np.isfinite(hi), hi - _BOUND_EPS, hi)
-    return lo, hi
-
-
 def initial_guesses(
     series: ObservationSeries, model_id: str, multistart: int
 ) -> list[tuple[float, ...]]:
-    """The default starts of ``fit``: one point per node of the
-    multistart grid over the family's ``launch`` axes,
-    multistart**len(launch) points.
+    """The launches of ``fit``: the nodes of the multistart grid over the
+    family's ``launch`` axes, multistart**len(launch) points of the
+    iterated parameters alone, in increasing (lexicographic) order.
 
     The asymptote axis (AML B) spans [ymax, 3*ymax], with ymax the
     largest count (at least 1); the rate axis (AML A, RE lambda, LP
     beta1) spans [1e-3, 1] log-spaced; the level axis (AML C) spans
     [1e-2, 10] log-spaced. The parameters that ``fit`` solves exactly
-    (RE N, LP beta0, all of AT, LN and RQ) hold the placeholder 1.0, so
-    AT, LN and RQ get a single point.
+    need no start, so AT, LN and RQ get the one empty point ``()``.
     """
     if multistart < 1:
         raise ValueError("multistart must be >= 1")
@@ -131,9 +120,8 @@ def initial_guesses(
         "rate": np.logspace(-3.0, 0.0, multistart),
         "level": np.logspace(-2.0, 1.0, multistart),
     }
-    solved = (1.0,) * (mspec.param_count - len(mspec.launch))
     axes = [[float(v) for v in grids[name]] for name in mspec.launch]
-    return [solved + combo for combo in itertools.product(*axes)]
+    return list(itertools.product(*axes))
 
 
 def _levenberg_marquardt(
@@ -143,7 +131,7 @@ def _levenberg_marquardt(
     lo: np.ndarray,
     hi: np.ndarray,
 ) -> tuple[float, bool, int, tuple]:
-    """Damped Gauss-Newton from x0 inside the box [lo, hi].
+    """Damped Gauss-Newton from x0, a point of the box [lo, hi].
 
     ``trial(x)`` is a tuple that starts with the residuals and the SSE at
     x (None and inf where the curve is not evaluable there);
@@ -153,7 +141,7 @@ def _levenberg_marquardt(
     is not finite (inf or NaN) is returned unmoved, and an empty x is
     converged at once.
     """
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    x = np.asarray(x0, dtype=float)
     state = trial(x)
     r, sse = state[:2]
     if not math.isfinite(sse):
@@ -179,8 +167,8 @@ def _levenberg_marquardt(
                 continue
             candidate = np.minimum(np.maximum(x + step, lo), hi)
             new_state = trial(candidate)
-            sse_new = new_state[1]
-            if math.isfinite(sse_new) and sse_new <= sse:
+            sse_new = new_state[1]  # inf where the curve is not evaluable
+            if sse_new <= sse:
                 accepted = True
                 break
             damping *= _DAMPING_FACTOR
@@ -252,18 +240,13 @@ def fit(
     series: ObservationSeries,
     model_id: str,
     multistart: int = DEFAULT_MULTISTART,
-    starts: Sequence[Sequence[float]] | None = None,
 ) -> FitOutcome:
     """Best multistart least-squares fit of ``model_id`` to the series.
 
     ``multistart`` is the number of nodes on each launch axis of the
-    default grid (``initial_guesses`` raises ValueError below 1);
-    ``starts`` overrides that grid (useful for refits and tests). Only
-    the parameters the family iterates on matter in a start: each
-    distinct clipped z-part of the starts is one launch, and the solved
-    parameters are solved at every z. So AT, LN and RQ make
-    one launch whatever the starts, converged after 0 iterations. Raises
-    ValueError when ``starts`` is empty, for every family, and
+    grid (``initial_guesses`` raises ValueError below 1); each node is
+    one launch, and the solved parameters are solved at every z. So AT,
+    LN and RQ make one launch, converged after 0 iterations. Raises
     InsufficientDataError when the series has fewer than param_count + 1
     points; a fit that never reached the SSE tolerance is returned with
     converged=False rather than raised.
@@ -274,16 +257,11 @@ def fit(
             f"{model_id} needs at least {mspec.param_count + 1} points, "
             f"series has {len(series.points)}"
         )
-    if starts is None:
-        starts = initial_guesses(series, model_id, multistart)
-    if not starts:
-        raise ValueError("no starting points")
+    launches = initial_guesses(series, model_id, multistart)
     t, y = _series_arrays(series)
-    lo, hi = _domain_arrays(model_id)
+    lo, hi = map(np.array, zip(*mspec.domain))  # the row's box, one bound per parameter
     n = mspec.param_count - len(mspec.launch)
     trial, jacobian = _projection(model_id, n, t, y, lo, hi)
-    launches = sorted({tuple(np.clip(np.asarray(x0, dtype=float)[n:], lo[n:], hi[n:]).tolist())
-                       for x0 in starts})
 
     best = None
     for z0 in launches:

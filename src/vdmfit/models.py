@@ -33,8 +33,8 @@ AT, LN and RQ are linear in all their parameters, so their rows name no
 launch axis and the one solve is the fit. RE and LP are linear in their
 amplitude (N, beta0); their rows name only the rate axis. AML names an
 axis for each parameter and solves none. A rate at the floor of its box
-is the linear limit: as lambda (beta1) -> 0 both curves tend to the line
-(N*lambda)*t ((beta0*beta1)*t).
+(1e-12) is the linear limit: as lambda (beta1) -> 0 both curves tend to
+the line (N*lambda)*t ((beta0*beta1)*t).
 """
 
 from __future__ import annotations
@@ -78,8 +78,9 @@ class ModelSpec:
     evaluate, but leave shape and finiteness checks to ``evaluate`` and
     ``gradient``. ``launch`` names one multistart axis ("rate", "asym"
     or "level", see ``fitter.initial_guesses``) for each of the trailing
-    ``len(launch)`` parameters, the ones the fitter iterates on; the
-    fitter solves every parameter before them exactly. It relies on the
+    ``len(launch)`` parameters, the ones the fitter iterates on: each
+    node of the grid over these axes, inside ``domain``, is one launch.
+    The fitter solves every parameter before them exactly. It relies on the
     curve being those parameters times their Jacobian columns at unit
     amplitude, bit for bit for one amplitude, whose basis is the curve
     at unit amplitude (``curve((a, k), t) == a * curve((1, k), t)``), and
@@ -139,11 +140,12 @@ def _lp_jacobian(p: Sequence[float], t: np.ndarray) -> np.ndarray:
     return _columns(np.log(arg), p[0] * t / arg)
 
 
-_POS = (0.0, math.inf)
+_POS = (1e-12, math.inf)
 _FREE = (-math.inf, math.inf)
 
 # AML, LP and RE parameters are strictly positive (asymptote/rate
-# readings only make sense there); AT, LN and RQ are unconstrained
+# readings only make sense there), so their box starts a hair above 0;
+# AT, LN and RQ are unconstrained
 MODELS = {
     s.id: s
     for s in (

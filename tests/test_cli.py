@@ -689,6 +689,32 @@ def test_a_repeated_list_value_is_rejected_before_any_file_is_read(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+def test_import_reads_every_input_before_it_writes(world, tmp_path, caplog):
+    bad = tmp_path / "bad_releases.json"
+    bad.write_text('[{"product": 1}]')
+    out = tmp_path / "imp"
+    assert run_cli("import", "--corpus", world["corpus"], "--releases", bad, "--out", out) == 1
+    assert "product must be a string, got 1" in caplog.text
+    assert not out.exists()
+
+
+def test_a_bad_release_date_is_named_before_any_file_is_written(tmp_path, capsys):
+    cases = (("2005-02-30", ("--emit-corpus",)), ("garbage", ()), ("20050101", ()))
+    for release_date, emit in cases:
+        out = tmp_path / release_date
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--model", "LN", "--params", "1,0", "--horizon", "12",
+                    "--release-date", release_date, *emit, "--out", out)
+        assert exc.value.code == 2, release_date
+        err = capsys.readouterr().err
+        assert f"argument --release-date: invalid iso_date value: '{release_date}'" in err
+        assert not out.exists(), release_date
+    out = tmp_path / "ok"
+    assert run_cli("simulate", "--model", "LN", "--params", "1,0", "--horizon", "12",
+                   "--release-date", "2004-11-09", "--emit-corpus", "--out", out) == 0
+    assert read_json(out / "releases.json")[0]["release_date"] == "2004-11-09"
+
+
 def test_track_past_every_series_end_warns_once_per_curve(world, tmp_path, caplog):
     assert run_cli("track", "--corpus", world["corpus"], "--releases", world["releases"],
                    "--as-of", world["as_of"], "--datasets", "NVD,NVD.Bug", "--models", "LN,RE",

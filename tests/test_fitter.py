@@ -12,7 +12,7 @@ from vdmfit.fitter import (
     initial_guesses,
     sum_squared_error,
 )
-from vdmfit.models import evaluate
+from vdmfit.models import MODEL_IDS, evaluate, spec
 from vdmfit.simulate import NoiseKind, NoiseSpec, exact_series, generate
 
 from oracles import grid_search_2d, grid_search_3d
@@ -20,6 +20,20 @@ from oracles import grid_search_2d, grid_search_3d
 
 def _series(points):
     return ObservationSeries("p", "v", DatasetKind.NVD, tuple(points))
+
+
+@pytest.fixture
+def launched(monkeypatch):
+    """The start of every damped-loop run that ``fit`` makes, in order."""
+    starts = []
+    run = fitter._levenberg_marquardt
+
+    def counted(trial, jacobian, x0, lo, hi):
+        starts.append(tuple(x0))
+        return run(trial, jacobian, x0, lo, hi)
+
+    monkeypatch.setattr(fitter, "_levenberg_marquardt", counted)
+    return starts
 
 
 def test_multistart_validation():
@@ -89,11 +103,12 @@ def test_aml_recovery_against_grid_search_oracle():
 
 def test_initial_guesses_grid_shape_and_rule():
     series = _series([(t, min(40.0, 4.0 * t)) for t in range(1, 21)])
-    # RE iterates on its rate alone; the solved amplitude is a placeholder
+    # RE iterates on its rate alone, so a grid point is the rate alone:
+    # the solved amplitude needs no start
     guesses = initial_guesses(series, "RE", 3)
     assert len(guesses) == 3
-    assert {g[0] for g in guesses} == {1.0}
-    rates = sorted(g[1] for g in guesses)
+    assert {len(g) for g in guesses} == {1}
+    rates = sorted(g[0] for g in guesses)
     assert rates[0] == pytest.approx(1e-3)
     assert rates[-1] == pytest.approx(1.0)
 
@@ -104,10 +119,10 @@ def test_initial_guesses_grid_shape_and_rule():
 
 
 def test_initial_guesses_constant_series_linear_seed():
-    # a linear family has one launch, at placeholders; its fit is the
-    # least-squares seed itself
+    # a linear family iterates on nothing: its one launch is the empty
+    # point, and its fit is the least-squares seed itself
     series = _series([(t, 5.0) for t in range(1, 9)])
-    assert initial_guesses(series, "LN", 3) == [(1.0, 1.0)]
+    assert initial_guesses(series, "LN", 3) == [()]
     a, b = fit(series, "LN").params.values
     assert a == pytest.approx(0.0, abs=1e-12)
     assert b == pytest.approx(5.0)
@@ -120,21 +135,23 @@ def test_final_fit_beats_every_raw_grid_point():
         assert outcome.sse <= sum_squared_error(series, "AML", guess) + 1e-12
 
 
-def test_fixed_point_refit():
+def test_fixed_point_refit(monkeypatch):
     series = exact_series("LP", (150.0, 0.08), 40)
     outcome = fit(series, "LP")
-    refit = fit(series, "LP", starts=[outcome.params.values])
+    # one launch, at the fitted rate
+    monkeypatch.setattr(fitter, "initial_guesses", lambda *args: [outcome.params.values[1:]])
+    refit = fit(series, "LP")
     for a, b in zip(outcome.params.values, refit.params.values):
         assert b == pytest.approx(a, abs=1e-9, rel=1e-9)
 
 
-def test_multistart_order_independence():
+def test_multistart_order_independence(monkeypatch):
     series = exact_series("RE", (80.0, 0.07), 36)
-    starts = initial_guesses(series, "RE", 3)
-    shuffled = list(starts)
+    shuffled = initial_guesses(series, "RE", 3)
     random.Random(99).shuffle(shuffled)
-    a = fit(series, "RE", starts=starts)
-    b = fit(series, "RE", starts=shuffled)
+    a = fit(series, "RE")
+    monkeypatch.setattr(fitter, "initial_guesses", lambda *args: shuffled)
+    b = fit(series, "RE")
     assert a.params == b.params
     assert a.sse == b.sse
 
@@ -153,23 +170,27 @@ def test_fit_params_stay_inside_domain():
         assert all(v > 0.0 for v in outcome.params.values), model
 
 
-def test_poisonous_start_cannot_freeze_best_selection():
-    # an overflowing first start (NaN SSE) must lose to any finite-SSE start
+def test_poisonous_start_cannot_freeze_best_selection(monkeypatch):
+    # an overflowing first launch (NaN SSE) must lose to any finite-SSE launch
     truth = (0.01, 60.0, 0.9)
     series = exact_series("AML", truth, 30)
     poison = (1e300, 1e300, 1e300)
     assert math.isnan(sum_squared_error(series, "AML", poison))
-    outcome = fit(series, "AML", starts=[poison, (0.01, 50.0, 1.0)])
+    monkeypatch.setattr(fitter, "initial_guesses", lambda *args: [poison, (0.01, 50.0, 1.0)])
+    outcome = fit(series, "AML")
     assert outcome.sse == pytest.approx(0.0, abs=1e-9)
     for got, want in zip(outcome.params.values, truth):
         assert got == pytest.approx(want, rel=1e-3)
 
 
-def test_closed_form_fit_ignores_starts():
+def test_closed_form_fit_ignores_starts(launched):
+    # a closed-form family makes one launch, the empty point, at any grid size
     series = _series([(t, t * t / 2.0 + t + (-1.0) ** t) for t in range(1, 11)])
     for model in ("AT", "LN", "RQ"):
+        launched.clear()
         outcome = fit(series, model)
-        assert fit(series, model, starts=[(1e300, 1e300)]) == outcome, model
+        assert launched == [()], model
+        assert fit(series, model, multistart=1) == outcome, model
         assert outcome.converged and outcome.iterations_used == 0, model
         assert outcome.sse == sum_squared_error(series, model, outcome.params.values), model
 
@@ -196,27 +217,17 @@ def test_separable_fit_reaches_the_linear_limit_off_the_ridge():
     assert fit(series, "RE").converged
 
 
-def test_separable_fit_launches_once_per_rate(monkeypatch):
-    # a launch is a distinct clipped point of the iterated parameters:
-    # starts that differ only in their solved amplitude are one launch
-    launched = []
-    run = fitter._levenberg_marquardt
-
-    def counted(trial, jacobian, x0, lo, hi):
-        launched.append(tuple(x0))
-        return run(trial, jacobian, x0, lo, hi)
-
-    monkeypatch.setattr(fitter, "_levenberg_marquardt", counted)
-    series = exact_series("RE", (80.0, 0.07), 36)
-    rates = (1e-3, 0.1, 1.0)
-    one = fit(series, "RE", starts=[(50.0, k) for k in rates])
-    launched.clear()
-    many = fit(series, "RE", starts=[(a, k) for a in (1.0, 50.0, 1e4) for k in rates])
-    assert one == many
-    assert launched == [(k,) for k in rates]
-    # AML iterates on all its parameters: starts that clip to the same
-    # point (C at the floor of its box) are one launch
-    launched.clear()
-    fit(exact_series("AML", (0.01, 60.0, 0.9), 30), "AML",
-        starts=[(0.01, 50.0, -1.0), (0.01, 50.0, 0.0), (0.01, 50.0, 1.0)])
-    assert len(launched) == 2
+def test_each_grid_node_is_one_launch(launched):
+    # the damped loop starts once from each grid node, in grid order, at
+    # the node itself: the iterated parameters alone, inside the row's box
+    series = generate("AML", (0.004, 120.0, 1.0), 24, NoiseSpec(NoiseKind.MULTIPLICATIVE, 0.03, 7))
+    for model in MODEL_IDS:
+        row = spec(model)
+        box = row.domain[row.param_count - len(row.launch):]
+        for grid in (1, 2, 3):
+            launched.clear()
+            fit(series, model, grid)
+            assert launched == initial_guesses(series, model, grid), (model, grid)
+            assert launched == sorted(set(launched)), (model, grid)
+            for z0 in launched:
+                assert all(lo <= v <= hi for v, (lo, hi) in zip(z0, box)), (model, z0)

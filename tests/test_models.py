@@ -205,9 +205,9 @@ def test_re_strictly_increasing_and_bounded():
 
 def test_fitting_domains():
     inf = math.inf
-    assert spec("AML").domain == (((0.0, inf),) * 3)
-    assert spec("LP").domain == (((0.0, inf),) * 2)
-    assert spec("RE").domain == (((0.0, inf),) * 2)
+    assert spec("AML").domain == (((1e-12, inf),) * 3)
+    assert spec("LP").domain == (((1e-12, inf),) * 2)
+    assert spec("RE").domain == (((1e-12, inf),) * 2)
     for mid in ("AT", "LN", "RQ"):
         assert spec(mid).domain == (((-inf, inf),) * 2)
 
