@@ -25,7 +25,6 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
-from datetime import date
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -44,6 +43,7 @@ from .datasets import (
     export_releases,
     import_corpus,
     import_releases,
+    iso_date,
     msr_end,
     select_dataset,
 )
@@ -59,14 +59,6 @@ log = logging.getLogger("vdmfit")
 DOF_CONVENTION = "n_points_minus_param_count"
 
 _ALL_DATASETS = tuple(k.value for k in DatasetKind)
-
-
-def iso_date(text: str) -> date:
-    """``text`` as a date, strictly YYYY-MM-DD (3.11 also reads 20090131)."""
-    day = date.fromisoformat(text)
-    if day.isoformat() != text:
-        raise ValueError(f"not a date YYYY-MM-DD: {text!r}")
-    return day
 
 
 @dataclass
@@ -262,7 +254,7 @@ def _load_series(cfg: RunConfig) -> tuple[list[ObservationSeries], list[dict], d
     corpus = import_corpus(cfg.corpus)
     releases = import_releases(cfg.releases)
     if cfg.as_of:
-        as_of = date.fromisoformat(cfg.as_of)
+        as_of = iso_date(cfg.as_of)
     else:
         if len(corpus) == 0:
             raise ValueError("empty corpus and no --as-of given")

@@ -12,11 +12,13 @@ its first observation point on 31 October.
 The selectors read one index per corpus, built in a single pass over
 the records the first time a selector (or ``link_bugs_to_nvd``) uses
 that corpus, and cached on it: the nvd entries affecting each version,
-the nvd entries with a bug ref and with an advisory ref, the bugs
-linked to each nvd entry, the advisories referencing each nvd entry,
-each advisory's bug refs, and the advisories with no nvd ref. After
-that build, a ``select_dataset`` call costs about the size of the
-release's nvd list plus its output, not the size of the corpus.
+and what one nvd entry contributes to each kind. NVD counts the entry,
+NVD.Bug and NVD.Advice count it when it refs a bug or an advisory,
+NVD.Nbug counts the bugs linked to it by either rule, and Advice.Nbug
+the bugs of every advisory that refs it. A release may opt into the
+bugs of advisories that ref no nvd entry as well. After that build, a
+``select_dataset`` call costs about the size of the release's nvd list
+plus its output, not the size of the corpus.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
     "export_releases",
     "import_corpus",
     "import_releases",
+    "iso_date",
     "link_bugs_to_nvd",
     "month_end",
     "msr_end",
@@ -205,101 +208,85 @@ class Corpus:
 
 
 class _CorpusIndex(NamedTuple):
-    """What the five selectors read, gathered in one pass over a corpus."""
+    """What one nvd entry contributes to each dataset kind, gathered in
+    one pass over a corpus."""
 
-    nvds_by_version: dict[str, list[SecurityRecord]]  # in corpus order
-    with_bug: set[str]  # nvd ids with a bug ref
-    with_advisory: set[str]  # nvd ids with an advisory ref
-    linked_bugs: dict[str, set[str]]  # nvd id -> bug ids linked by either rule
-    advisories_of: dict[str, list[str]]  # nvd id -> advisories referencing it
-    bugs_of: dict[str, tuple[str, ...]]  # advisory id -> its bug refs
-    orphan_advisories: tuple[str, ...]  # advisories with no nvd ref
+    nvds_by_version: dict[str, list[str]]  # version -> nvd ids, in corpus order
+    counted: dict[DatasetKind, dict[str, Sequence[str]]]  # kind -> nvd id -> ids it counts
+    orphan_bugs: list[str]  # bugs of advisories that ref no nvd entry
 
 
 def _index_corpus(corpus: Corpus) -> _CorpusIndex:
     # plain dict and local lookups: this loop visits every record and ref
     records = corpus._records
     nvd_kind, bug_kind, advisory_kind = RecordKind.NVD, RecordKind.BUG, RecordKind.ADVISORY
-    nvds_by_version: dict[str, list[SecurityRecord]] = defaultdict(list)
-    with_bug: set[str] = set()
-    with_advisory: set[str] = set()
-    linked_bugs: dict[str, set[str]] = defaultdict(set)
-    advisories_of: dict[str, list[str]] = defaultdict(list)
-    bugs_of: dict[str, tuple[str, ...]] = {}
-    orphans: list[str] = []
+    nvds_by_version: dict[str, list[str]] = defaultdict(list)
+    itself, with_bug, with_advisory = {}, {}, {}  # nvd id -> (nvd id,)
+    linked_bugs, advisory_bugs = defaultdict(list), defaultdict(list)  # nvd id -> bug ids
+    orphan_bugs: list[str] = []
     for rec in corpus:
+        rid = rec.id
         if rec.kind is nvd_kind:
+            # one tuple for the three kinds that count the entry itself
+            itself[rid] = own = (rid,)
             for version in rec.affects:
-                nvds_by_version[version].append(rec)
+                nvds_by_version[version].append(rid)
             for ref in rec.refs:
                 ref_kind = records[ref].kind
                 if ref_kind is bug_kind:
-                    with_bug.add(rec.id)
-                    linked_bugs[rec.id].add(ref)
+                    with_bug[rid] = own
+                    linked_bugs[rid].append(ref)
                 elif ref_kind is advisory_kind:
-                    with_advisory.add(rec.id)
+                    with_advisory[rid] = own
         elif rec.kind is advisory_kind:
-            bugs = tuple(r for r in rec.refs if records[r].kind is bug_kind)
+            bugs = [r for r in rec.refs if records[r].kind is bug_kind]
             nvds = [r for r in rec.refs if records[r].kind is nvd_kind]
-            bugs_of[rec.id] = bugs
             if not nvds:
-                orphans.append(rec.id)
+                orphan_bugs.extend(bugs)
             for nvd in nvds:
-                advisories_of[nvd].append(rec.id)
-                linked_bugs[nvd].update(bugs)
-    return _CorpusIndex(
-        dict(nvds_by_version),
-        with_bug,
-        with_advisory,
-        dict(linked_bugs),
-        dict(advisories_of),
-        bugs_of,
-        tuple(orphans),
-    )
+                linked_bugs[nvd].extend(bugs)
+                advisory_bugs[nvd].extend(bugs)
+    counted = {
+        DatasetKind.NVD: itself,
+        DatasetKind.NVD_BUG: with_bug,
+        DatasetKind.NVD_ADVICE: with_advisory,
+        DatasetKind.NVD_NBUG: dict(linked_bugs),
+        DatasetKind.ADVICE_NBUG: dict(advisory_bugs),
+    }
+    return _CorpusIndex(dict(nvds_by_version), counted, orphan_bugs)
 
 
 def link_bugs_to_nvd(corpus: Corpus) -> frozenset[tuple[str, str]]:
     """(bug_id, nvd_id) edges under the two linking rules: the bug is
     listed in the nvd entry's references, or some advisory references
-    both the bug and the nvd entry."""
-    return frozenset(
-        (bug, nvd) for nvd, bugs in corpus._index.linked_bugs.items() for bug in bugs
-    )
+    both the bug and the nvd entry. These are the NVD.Nbug row of the
+    corpus index."""
+    linked = corpus._index.counted[DatasetKind.NVD_NBUG]
+    return frozenset((bug, nvd) for nvd, bugs in linked.items() for bug in bugs)
 
 
 def select_dataset(
     corpus: Corpus, kind: DatasetKind, release: Release
 ) -> dict[str, date]:
     """Vulnerability ids with attributed publish dates for one release
-    under one dataset definition.
+    under one dataset definition: what the release's nvd entries
+    contribute to ``kind``, each id dated by its own record.
 
-    NVD / NVD.Bug / NVD.Advice count nvd entries (dated by the entry);
-    NVD.Nbug and Advice.Nbug count vendor bug reports (dated by the
-    bug's own published date).
+    NVD / NVD.Bug / NVD.Advice count nvd entries; NVD.Nbug and
+    Advice.Nbug count vendor bug reports.
     """
-    index = corpus._index
-    nvds = index.nvds_by_version.get(release.version, ())
-
-    if kind is DatasetKind.NVD:
-        return {r.id: r.published for r in nvds}
-
-    if kind is DatasetKind.NVD_BUG:
-        return {r.id: r.published for r in nvds if r.id in index.with_bug}
-
-    if kind is DatasetKind.NVD_ADVICE:
-        return {r.id: r.published for r in nvds if r.id in index.with_advisory}
-
-    if kind is DatasetKind.NVD_NBUG:
-        bugs = (b for r in nvds for b in index.linked_bugs.get(r.id, ()))
-        return {b: corpus[b].published for b in bugs}
-
-    if kind is DatasetKind.ADVICE_NBUG:
-        advisories = {a for r in nvds for a in index.advisories_of.get(r.id, ())}
-        if release.include_unlinked_advisory_bugs:
-            advisories.update(index.orphan_advisories)
-        return {b: corpus[b].published for a in advisories for b in index.bugs_of[a]}
-
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    if not isinstance(kind, DatasetKind):
+        raise ValueError(f"unknown dataset kind {kind!r}")
+    index, records = corpus._index, corpus._records
+    counted = index.counted[kind]
+    vulns = {
+        i: records[i].published
+        for nvd in index.nvds_by_version.get(release.version, ())
+        for i in counted.get(nvd, ())
+    }
+    if kind is DatasetKind.ADVICE_NBUG and release.include_unlinked_advisory_bugs:
+        vulns.update((b, records[b].published) for b in index.orphan_bugs)
+    return vulns
 
 
 def month_end(d: date) -> date:
@@ -343,6 +330,15 @@ def build_series(
     return ObservationSeries(release.product, release.version, dataset_kind, tuple(points))
 
 
+def iso_date(text: str) -> date:
+    """``text`` as a date, strictly YYYY-MM-DD (3.11 also reads 20090131
+    and 2009-W05-6)."""
+    day = date.fromisoformat(text)
+    if day.isoformat() != text:
+        raise ValueError(f"not a date YYYY-MM-DD: {text!r}")
+    return day
+
+
 _KIND_BY_NAME = {k.value: k for k in RecordKind}
 _JSON_TYPE_NAMES = {str: "a string", list: "an array of strings", bool: "true or false"}
 
@@ -360,7 +356,7 @@ def _record_from_json(obj: dict, where: str) -> SecurityRecord:
     try:
         rid = obj["id"]
         kind = _KIND_BY_NAME[obj["kind"]]
-        published = date.fromisoformat(obj["published"])
+        published = iso_date(obj["published"])
         affects = frozenset(_json_field(obj, "affects", list, []))
         refs = frozenset(_json_field(obj, "refs", list, []))
     except (KeyError, TypeError, ValueError) as exc:
@@ -430,7 +426,7 @@ def import_releases(path: Union[str, Path]) -> list[Release]:
                 Release(
                     product=_json_field(obj, "product", str),
                     version=_json_field(obj, "version", str),
-                    release_date=date.fromisoformat(obj["release_date"]),
+                    release_date=iso_date(obj["release_date"]),
                     include_unlinked_advisory_bugs=_json_field(
                         obj, "include_unlinked_advisory_bugs", bool, False
                     ),

@@ -269,6 +269,9 @@ def test_unlinked_advisory_flag():
     lenient = Release("ff", "1.0", date(2004, 11, 9), include_unlinked_advisory_bugs=True)
     assert select_dataset(corpus, DatasetKind.ADVICE_NBUG, strict) == {}
     assert set(select_dataset(corpus, DatasetKind.ADVICE_NBUG, lenient)) == {"B1"}
+    # a kind's name is not a kind: the table lookup must not accept it
+    with pytest.raises(ValueError, match="unknown dataset kind 'NVD'"):
+        select_dataset(corpus, "NVD", lenient)
 
 
 def browser_vulnerability_space_corpus():
@@ -428,6 +431,12 @@ def test_import_parse_error_names_line(tmp_path):
     path.write_text(json.dumps(good) + "\n" + json.dumps({"id": "Y", "kind": "nope", "published": "2005-01-01"}) + "\n")
     with pytest.raises(ParseError, match="line 2"):
         import_corpus(path)
+    # Python 3.11's fromisoformat reads the compact and week forms too;
+    # 3.10 rejects them with its own message
+    for published in ("20041109", "2004-W45-2"):
+        path.write_text(json.dumps(good) + "\n" + json.dumps(good | {"id": "Y", "published": published}) + "\n")
+        with pytest.raises(ParseError, match=f"line 2: .*{published}"):
+            import_corpus(path)
 
 
 def test_import_rejects_mistyped_affects_and_refs(tmp_path):
@@ -456,6 +465,10 @@ def test_releases_reject_mistyped_fields(tmp_path):
     ]:
         path.write_text(json.dumps([good, good | {"version": "2.0", key: value}]))
         with pytest.raises(ParseError, match=f"release #1: {key} must be {expected}"):
+            import_releases(path)
+    for release_date in ("20041109", "2004-W45-2"):
+        path.write_text(json.dumps([good, good | {"version": "2.0", "release_date": release_date}]))
+        with pytest.raises(ParseError, match=f"release #1: .*{release_date}"):
             import_releases(path)
 
 
