@@ -311,6 +311,8 @@ def _track_job(payload: tuple[ObservationSeries, str, int, int]):
 
 
 def _run_jobs(func, payloads: Sequence, workers: int) -> list:
+    # a process pool may fork all its workers at the first submit: start no more than the jobs
+    workers = min(workers, len(payloads))
     if workers <= 1:
         return [func(p) for p in payloads]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -460,7 +462,8 @@ def _metric_series_rows(group: str, series) -> list[dict]:
 
 
 def _fmt_weight(w: float) -> str:
-    return str(int(w)) if float(w) == int(w) else str(w)
+    """``w`` as written in file names and keys: 1, 2.5, 1e+300."""
+    return repr(float(w)).removesuffix(".0")
 
 
 def _cmd_metric(cfg: RunConfig, args: argparse.Namespace, which: str) -> int:

@@ -27,6 +27,7 @@ import calendar
 import json
 import logging
 import math
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from datetime import date
@@ -310,24 +311,17 @@ def build_series(
     dataset_kind: DatasetKind,
 ) -> ObservationSeries:
     """Cumulative counts at every complete month end up to ``as_of``."""
-    first_end = msr_end(release.release_date, 1)
-    if as_of < first_end:
+    ends = []
+    while (end := msr_end(release.release_date, len(ends) + 1)) <= as_of:
+        ends.append(end)
+    if not ends:
         raise EmptyWindowError(
-            f"as_of {as_of} precedes the end of MSR 1 ({first_end}) for "
+            f"as_of {as_of} precedes the end of MSR 1 ({end}) for "
             f"{release.product} {release.version}"
         )
-    last = 1
-    while msr_end(release.release_date, last + 1) <= as_of:
-        last += 1
     dates = sorted(vulns.values())
-    points = []
-    idx = 0
-    for m in range(1, last + 1):
-        end = msr_end(release.release_date, m)
-        while idx < len(dates) and dates[idx] <= end:
-            idx += 1
-        points.append((m, float(idx)))
-    return ObservationSeries(release.product, release.version, dataset_kind, tuple(points))
+    points = tuple((m, float(bisect_right(dates, end))) for m, end in enumerate(ends, start=1))
+    return ObservationSeries(release.product, release.version, dataset_kind, points)
 
 
 def iso_date(text: str) -> date:

@@ -133,17 +133,11 @@ def _series_with_medians(points: list[tuple[int, float]]) -> MetricSeries:
 StateMatrix = Mapping[str, Mapping[int, FitClass]]
 
 
-def _columns(per_curve_states: StateMatrix) -> list[int]:
-    cols = sorted({m for states in per_curve_states.values() for m in states})
-    if len(cols) < 2:
-        raise ValueError("need at least two observation columns")
-    return cols
-
-
 def aggregate_entropy(per_curve_states: StateMatrix, beta: float = 1.0) -> MetricSeries:
-    """Entropy per step, pooling transitions across all curves of the
-    group; curves missing either end of a step are skipped there."""
-    cols = _columns(per_curve_states)
+    """Entropy per step between consecutive months of the group, pooling
+    transitions across its curves; curves missing either end of a step
+    are skipped there. A group of one month has no step."""
+    cols = sorted({m for states in per_curve_states.values() for m in states})
     points = []
     for prev_m, cur_m in zip(cols, cols[1:]):
         transitions = [
@@ -157,20 +151,15 @@ def aggregate_entropy(per_curve_states: StateMatrix, beta: float = 1.0) -> Metri
 
 
 def aggregate_quality(per_curve_states: StateMatrix, omega: float = 1.0) -> MetricSeries:
-    """Quality per observation month, pooling state counts across all
-    curves of the group."""
-    cols = _columns(per_curve_states)
+    """Quality at every month of the group, pooling state counts across
+    its curves."""
     points = []
-    for m in cols:
-        n = {FitClass.GOOD_FIT: 0, FitClass.INCONCLUSIVE: 0, FitClass.NOT_FIT: 0}
+    for m in sorted({m for states in per_curve_states.values() for m in states}):
+        n = dict.fromkeys(FitClass, 0)  # quality_at's order: fit, inconclusive, not fit
         for states in per_curve_states.values():
             if m in states:
                 n[states[m]] += 1
-        total = sum(n.values())
-        if total:
-            points.append(
-                (m, quality_at((n[FitClass.GOOD_FIT], n[FitClass.INCONCLUSIVE], n[FitClass.NOT_FIT]), omega))
-            )
+        points.append((m, quality_at(tuple(n.values()), omega)))
     return _series_with_medians(points)
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import logging
@@ -87,7 +88,11 @@ def test_import_summary(world, tmp_path):
     assert summary["records"] > 0
     assert summary["by_kind"]["nvd"] == summary["by_kind"]["bug"]
     assert summary["dropped_dangling_refs"] == []
+    assert "releases" not in summary
     assert (tmp_path / "corpus.normalized.ndjson").exists()
+    assert run_cli("import", "--corpus", world["corpus"], "--releases", world["releases"],
+                   "--out", tmp_path) == 0
+    assert read_json(tmp_path / "import_summary.json")["releases"] == 1
 
 
 def test_fit_command_rows_and_summary(world, tmp_path):
@@ -663,6 +668,15 @@ def test_errors_exit_nonzero(tmp_path, caplog):
         odd.write_text(f"group,msr,value\na,7,0.5\nb,7,0.25\na,8,{value}\nb,8,0.75\n")
         assert run_cli("compare", "--series", odd, "--out", tmp_path) == 1
         assert f"{odd}: row 3: value must be finite" in caplog.text
+    # a rank test needs two groups, and a baseline among them
+    one = tmp_path / "one_group.csv"
+    one.write_text("group,msr,value\na,7,0.5\na,8,0.25\n")
+    assert run_cli("compare", "--series", one, "--out", tmp_path) == 1
+    assert "need at least two groups to compare, found ['a']" in caplog.text
+    two = tmp_path / "two_groups.csv"
+    two.write_text("group,msr,value\na,7,0.5\nb,7,0.25\na,8,0.75\nb,8,0.5\n")
+    assert run_cli("compare", "--series", two, "--baseline", "c", "--out", tmp_path) == 1
+    assert "baseline group 'c' not found in ['a', 'b']" in caplog.text
 
 
 def test_a_repeated_list_value_is_rejected_before_any_file_is_read(tmp_path, caplog):
@@ -787,6 +801,117 @@ def test_workers_flag_gives_identical_output(world, tmp_path):
         assert run_cli("track", *shared, "--workers", workers, "--out", out) == 0
     for name in ("fits.csv", "fit_summary.json", "track.csv"):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
+
+
+def test_workers_start_no_more_processes_than_distinct_fits(world, tmp_path, monkeypatch):
+    pools = []
+
+    class SerialPool:
+        """Records the pool size asked for, and maps in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, payloads):
+            return map(func, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    # the five kinds of a simulated world count alike: 10 curves, 2 distinct fits
+    inputs = ("--corpus", world["corpus"], "--releases", world["releases"],
+              "--as-of", world["as_of"])
+    assert run_cli("fit", *inputs, "--models", "LN,RE", "--workers", 50,
+                   "--out", tmp_path / "w50") == 0
+    assert pools == [2]
+    assert run_cli("fit", *inputs, "--models", "LN,RE", "--workers", 1,
+                   "--out", tmp_path / "w1") == 0
+    for name in ("fits.csv", "fit_summary.json"):
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w50" / name).read_bytes()
+    # one distinct fit runs in this process, with no pool at all
+    assert run_cli("fit", *inputs, "--models", "LN", "--datasets", "NVD", "--workers", 4,
+                   "--out", tmp_path / "one") == 0
+    assert pools == [2]
+
+
+def test_weights_name_their_files_in_shortest_float_form(tmp_path):
+    track = tmp_path / "track.csv"
+    track.write_text(
+        "product,version,dataset,model,msr,status,classification,p_value,chi2,valid\n"
+        "p,1,NVD,LN,6,ok,GoodFit,0.5,1.0,True\n"
+        "p,1,NVD,LN,7,ok,NotFit,0.5,1.0,True\n"
+    )
+    out = tmp_path / "out"
+    assert run_cli("entropy", "--track", track, "--beta", "1,2.5,1e300", "--out", out) == 0
+    assert run_cli("quality", "--track", track, "--omega", "2,1e16", "--out", out) == 0
+    assert sorted(p.name for p in out.glob("*_*[0-9].csv")) == [
+        "entropy_beta1.csv", "entropy_beta1e+300.csv", "entropy_beta2.5.csv",
+        "quality_omega1e+16.csv", "quality_omega2.csv",
+    ]
+    assert read_header(out / "entropy_beta1e+300.csv")["beta"] == "1e+300"
+    summary = read_json(out / "entropy_summary.json")
+    assert sorted(summary["medians_by_beta"]) == ["1", "1e+300", "2.5"]
+    assert float(read_csv(out / "entropy_beta1e+300.csv")[0]["value"]) == 1.0
+
+
+def test_a_one_month_track_gives_quality_points_and_skips_entropy(world, tmp_path, caplog):
+    # from MSR 24 of 24 every curve has one state: quality pools it, and
+    # entropy has no step
+    assert run_cli("track", "--corpus", world["corpus"], "--releases", world["releases"],
+                   "--as-of", world["as_of"], "--datasets", "NVD,NVD.Bug", "--models", "LN,RE",
+                   "--start-msr", "24", "--out", tmp_path) == 0
+    assert run_cli("quality", "--track", tmp_path / "track.csv", "--omega", "1",
+                   "--out", tmp_path) == 0
+    assert [(r["group"], r["msr"]) for r in read_csv(tmp_path / "quality_omega1.csv")] == [
+        ("LN", "24"), ("RE", "24")
+    ]
+    medians = read_json(tmp_path / "quality_summary.json")["medians_by_omega"]["1"]
+    assert sorted(medians) == ["LN", "RE"]
+    assert all(m["second_half_median"] is None for m in medians.values())
+    caplog.clear()
+    assert run_cli("entropy", "--track", tmp_path / "track.csv", "--beta", "1",
+                   "--out", tmp_path) == 0
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+        f"entropy: group {kind} skipped: no metric points" for kind in ("NVD", "NVD.Bug")
+    ]
+    assert read_csv(tmp_path / "entropy_beta1.csv") == []
+    assert read_json(tmp_path / "entropy_summary.json")["medians_by_beta"] == {}
+
+
+def test_an_empty_window_is_skipped_with_its_reason(world, tmp_path, caplog):
+    # the world's release is dated 2005-01-01, so MSR 1 ends on 2005-02-28
+    assert run_cli("fit", "--corpus", world["corpus"], "--releases", world["releases"],
+                   "--as-of", "2005-02-27", "--datasets", "NVD,NVD.Bug", "--models", "LN",
+                   "--out", tmp_path) == 0
+    version = read_json(world["releases"])[0]["version"]
+    error = f"as_of 2005-02-27 precedes the end of MSR 1 (2005-02-28) for synthetic {version}"
+    kinds = ("NVD", "NVD.Bug")
+    assert read_json(tmp_path / "fit_summary.json")["skipped_series"] == [
+        {"product": "synthetic", "version": version, "dataset": kind, "error": error}
+        for kind in kinds
+    ]
+    assert [m for m in caplog.messages if m.startswith("skipping ")] == [
+        f"skipping synthetic {version} {kind}: {error}" for kind in kinds
+    ]
+    assert read_csv(tmp_path / "fits.csv") == []
+
+
+def test_fit_without_as_of_observes_up_to_the_latest_record(world, tmp_path, caplog):
+    latest = max(json.loads(line)["published"] for line in Path(world["corpus"]).open())
+    assert latest < world["as_of"]
+    assert run_cli("fit", "--corpus", world["corpus"], "--releases", world["releases"],
+                   "--datasets", "NVD", "--models", "LN", "--out", tmp_path / "fit") == 0
+    assert read_header(tmp_path / "fit" / "fits.csv")["as_of"] == latest
+    empty = tmp_path / "empty.ndjson"
+    empty.write_text("")
+    assert run_cli("fit", "--corpus", empty, "--releases", world["releases"],
+                   "--out", tmp_path / "none") == 1
+    assert "empty corpus and no --as-of given" in caplog.text
+    assert not (tmp_path / "none").exists()
 
 
 # the flags each subcommand reads besides its own; a config file may still

@@ -137,6 +137,19 @@ def test_aggregate_entropy_simultaneous_big_jumps():
     assert [v for _, v in series.points] == [0.0, 1.0, 0.0]
 
 
+def test_a_one_month_group_has_one_quality_point_and_no_entropy_step():
+    states = {"c1": {6: F}, "c2": {6: I}, "c3": {6: NF}}
+    quality = aggregate_quality(states, omega=2.0)
+    assert quality.points == ((6, 0.5),)
+    assert quality.grand_median == quality.first_half_median == 0.5
+    assert quality.second_half_median is None
+    with pytest.raises(EmptyStepError, match="no metric points"):
+        aggregate_entropy(states)
+    # a state is a FitClass, never its value
+    with pytest.raises(KeyError):
+        aggregate_quality({"c1": {6: "GoodFit"}})
+
+
 def brute_force_entropy(states_by_curve, beta):
     columns = sorted({m for sts in states_by_curve.values() for m in sts})
     out = []
