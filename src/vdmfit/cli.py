@@ -49,7 +49,9 @@ from .datasets import (
 )
 from .fitter import DEFAULT_MULTISTART
 from .gof import FitClass, FitResult
-from .metrics import DEFAULT_START_MSR, aggregate_entropy, aggregate_quality, rolling_gof
+from .metrics import (
+    DEFAULT_START_MSR, EmptyStepError, aggregate_entropy, aggregate_quality, rolling_gof
+)
 from .models import MODEL_IDS, spec
 from .simulate import NoiseKind, NoiseSpec, corpus_records_from_series, generate
 from .stats import bonferroni, kruskal_wallis, mann_whitney_u
@@ -197,11 +199,15 @@ def _write_json(path: Path, payload: Mapping[str, object], meta: Mapping[str, ob
     log.info("wrote %s", path)
 
 
-def _read_csv(cfg: RunConfig, path: str | Path) -> tuple[dict, list[dict]]:
-    """The metadata for what a command writes from a CSV file, and the
-    file's rows. The leading ``#`` lines are the metadata block, whose
-    ``# key: value`` lines give ``as_of``, ``start_msr`` and
-    ``config_hash``: they describe its data, not the command's defaults."""
+def _read_rows(
+    cfg: RunConfig, path: str | Path, required: Sequence[str], parse: Callable
+) -> tuple[dict, list]:
+    """The metadata for what a command writes from a CSV file, and
+    ``parse(row)`` of its every row. The leading ``#`` lines are the
+    metadata block, whose ``# key: value`` lines give ``as_of``,
+    ``start_msr`` and ``config_hash``: they describe its data, not the
+    command's defaults. A bad header, a missing ``required`` column or a
+    bad value is a ValueError naming the file (and the row, from 1)."""
     header = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = []
@@ -214,24 +220,12 @@ def _read_csv(cfg: RunConfig, path: str | Path) -> tuple[dict, list[dict]]:
         rows = list(csv.DictReader(lines))
     try:
         meta = cfg.metadata() | {
-            key: parse(header[key])
-            for key, parse in (("as_of", str), ("start_msr", int), ("config_hash", str))
+            key: parse_value(header[key])
+            for key, parse_value in (("as_of", str), ("start_msr", int), ("config_hash", str))
             if key in header
         }
     except ValueError as exc:
         raise ValueError(f"{path}: bad header: {exc}") from None
-    return meta, rows
-
-
-def _parse_rows(
-    rows: Sequence[Mapping[str, object]],
-    source: str,
-    required: Sequence[str],
-    parse: Callable[[Mapping[str, object]], object],
-) -> list:
-    """``parse(row)`` for every row that has all ``required`` columns; a
-    missing column or a bad value is a ValueError naming the source and
-    the row (counted from 1 after the header)."""
     parsed = []
     for i, row in enumerate(rows, start=1):
         try:
@@ -240,8 +234,8 @@ def _parse_rows(
                 raise ValueError(f"missing column(s) {', '.join(missing)}")
             parsed.append(parse(row))
         except ValueError as exc:
-            raise ValueError(f"{source}: row {i}: {exc}") from None
-    return parsed
+            raise ValueError(f"{path}: row {i}: {exc}") from None
+    return meta, parsed
 
 
 def _load_series(cfg: RunConfig) -> tuple[list[ObservationSeries], list[dict], dict]:
@@ -444,21 +438,7 @@ def _track_state(row: Mapping[str, object]) -> tuple[tuple[str, ...], int, FitCl
     return curve, int(row["msr"]), state
 
 
-def _state_matrices(
-    rows: Sequence[Mapping[str, object]], group_by: str, source: str
-) -> dict[str, dict[str, dict[int, FitClass]]]:
-    """group -> curve -> msr -> state; curves without a state are left
-    out."""
-    group_index = _CURVE_COLUMNS.index(group_by)
-    groups: dict[str, dict[str, dict[int, FitClass]]] = {}
-    for curve, msr, state in _parse_rows(rows, source, _STATE_COLUMNS, _track_state):
-        if state is not None:
-            groups.setdefault(curve[group_index], {}).setdefault("|".join(curve), {})[msr] = state
-    return groups
-
-
-def _metric_series_rows(group: str, series) -> list[dict]:
-    return [{"group": group, "msr": m, "value": repr(v)} for m, v in series.points]
+_MEDIANS = ("grand_median", "first_half_median", "second_half_median")
 
 
 def _fmt_weight(w: float) -> str:
@@ -466,40 +446,47 @@ def _fmt_weight(w: float) -> str:
     return repr(float(w)).removesuffix(".0")
 
 
-def _cmd_metric(cfg: RunConfig, args: argparse.Namespace, which: str) -> int:
-    # built per call, so the aggregate functions resolve at call time
-    default_group_by, weight_name, aggregate = {
-        "entropy": ("dataset", "beta", aggregate_entropy),
-        "quality": ("model", "omega", aggregate_quality),
-    }[which]
-    meta, rows = _read_csv(cfg, args.track)
+def _cmd_metric(
+    cfg: RunConfig, args: argparse.Namespace, which: str, default_group_by: str,
+    weight_name: str, aggregate: Callable,
+) -> int:
+    meta, states = _read_rows(cfg, args.track, _STATE_COLUMNS, _track_state)
     group_by = args.group_by or default_group_by
-    matrices = _state_matrices(rows, group_by, args.track)
-    if not matrices:
+    group_index = _CURVE_COLUMNS.index(group_by)
+    # group -> curve -> msr -> state; months without a state are left out
+    groups: dict[str, dict[tuple[str, ...], dict[int, FitClass]]] = {}
+    seen = set()
+    for i, (curve, msr, state) in enumerate(states, start=1):
+        if (curve, msr) in seen:
+            raise ValueError(f"{args.track}: row {i}: repeats MSR {msr} of {' '.join(curve)}")
+        seen.add((curve, msr))
+        if state is not None:
+            groups.setdefault(curve[group_index], {}).setdefault(curve, {})[msr] = state
+    if not groups:
         raise ValueError("no usable state sequences (is the track data empty?)")
+
+    weights = getattr(cfg, weight_name)
+    pooled: dict[str, list] = {}  # group -> its MetricSeries at each weight
+    for group in sorted(groups):
+        try:
+            pooled[group] = [aggregate(groups[group], w) for w in weights]
+        except EmptyStepError as exc:  # a group without points has none at any weight
+            log.warning("%s: group %s skipped: %s", which, group, exc)
 
     out = _out_dir(cfg)
     summary: dict[str, dict] = {}
-    for w in getattr(cfg, weight_name):
-        csv_rows: list[dict] = []
-        for group in sorted(matrices):
-            try:
-                series = aggregate(matrices[group], w)
-            except ValueError as exc:
-                log.warning("%s: group %s skipped: %s", which, group, exc)
-                continue
-            csv_rows.extend(_metric_series_rows(group, series))
-            summary.setdefault(_fmt_weight(w), {})[group] = {
-                "grand_median": series.grand_median,
-                "first_half_median": series.first_half_median,
-                "second_half_median": series.second_half_median,
-            }
+    for i, w in enumerate(weights):
+        name = _fmt_weight(w)
+        at_w = {group: series[i] for group, series in pooled.items()}
+        rows = [
+            {"group": g, "msr": m, "value": repr(v)} for g, s in at_w.items() for m, v in s.points
+        ]
         _write_csv(
-            out / f"{which}_{weight_name}{_fmt_weight(w)}.csv",
-            ("group", "msr", "value"),
-            csv_rows,
-            meta | {"group_by": group_by, weight_name: _fmt_weight(w)},
+            out / f"{which}_{weight_name}{name}.csv", ("group", "msr", "value"), rows,
+            meta | {"group_by": group_by, weight_name: name},
         )
+        if at_w:
+            summary[name] = {g: {k: getattr(s, k) for k in _MEDIANS} for g, s in at_w.items()}
     _write_json(
         out / f"{which}_summary.json",
         {f"medians_by_{weight_name}": summary, "group_by": group_by},
@@ -508,12 +495,13 @@ def _cmd_metric(cfg: RunConfig, args: argparse.Namespace, which: str) -> int:
     return 0
 
 
+# the aggregate is looked up per call, so a wrapper bound in its place is the one called
 def cmd_entropy(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _cmd_metric(cfg, args, "entropy")
+    return _cmd_metric(cfg, args, "entropy", "dataset", "beta", aggregate_entropy)
 
 
 def cmd_quality(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _cmd_metric(cfg, args, "quality")
+    return _cmd_metric(cfg, args, "quality", "model", "omega", aggregate_quality)
 
 
 def _metric_point(row: Mapping[str, object]) -> tuple[str, float]:
@@ -525,9 +513,9 @@ def _metric_point(row: Mapping[str, object]) -> tuple[str, float]:
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
-    meta, rows = _read_csv(cfg, args.series)
+    meta, points = _read_rows(cfg, args.series, ("group", "value"), _metric_point)
     groups: dict[str, list[float]] = {}
-    for group, value in _parse_rows(rows, args.series, ("group", "value"), _metric_point):
+    for group, value in points:
         groups.setdefault(group, []).append(value)
     names = sorted(groups)
     if len(names) < 2:

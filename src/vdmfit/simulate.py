@@ -115,6 +115,8 @@ def generate(
             value = base + rng.uniform(-noise.magnitude, noise.magnitude)
         else:
             value = base
+        if not math.isfinite(value):
+            raise ValueError(f"{model_id} value at month {m} is not finite: {value!r}")
         count = max(prev, 0, _round_half_up(value))
         points.append((m, float(count)))
         prev = count

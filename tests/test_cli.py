@@ -763,6 +763,59 @@ def test_a_product_starting_with_a_hash_is_data_not_metadata(tmp_path):
     assert pooled["#fox"] == pooled["fox"]
 
 
+TRACK_HEADER = "product,version,dataset,model,msr,status,classification,p_value,chi2,valid\n"
+
+
+def test_a_curve_is_its_four_columns_whatever_their_text(tmp_path):
+    # the curves (a|b, c) and (a, b|c) would read alike as one joined
+    # name; they are two curves, one good at both months, one not fit
+    # then good
+    track = tmp_path / "track.csv"
+    track.write_text(TRACK_HEADER + "".join(
+        f"{product},{version},NVD,LN,{msr},ok,{cls},0.5,1.0,True\n"
+        for product, version, states in (("a|b", "c", ("GoodFit", "GoodFit")),
+                                         ("a", "b|c", ("NotFit", "GoodFit")))
+        for msr, cls in zip((6, 7), states)
+    ))
+    assert run_cli("quality", "--track", track, "--omega", "1", "--out", tmp_path) == 0
+    assert [(r["msr"], float(r["value"])) for r in read_csv(tmp_path / "quality_omega1.csv")] == [
+        ("6", 0.5), ("7", 1.0)
+    ]
+    # at MSR 7 one curve is unchanged and one makes a big jump
+    assert run_cli("entropy", "--track", track, "--beta", "1", "--out", tmp_path) == 0
+    assert [(r["msr"], float(r["value"])) for r in read_csv(tmp_path / "entropy_beta1.csv")] == [
+        ("7", 0.5)
+    ]
+
+
+def test_a_repeated_curve_month_is_an_error_naming_the_file_and_row(tmp_path, caplog):
+    track = tmp_path / "track.csv"
+    track.write_text(TRACK_HEADER + "p,1,NVD,LN,6,ok,GoodFit,0.5,1.0,True\n"
+                     "p,1,NVD,LN,7,error,,,,\n"
+                     "p,1,NVD,LN,6,ok,NotFit,0.01,9.0,True\n"
+                     "p,1,NVD,LN,7,error,,,,\n")
+    for metric in ("quality", "entropy"):
+        caplog.clear()
+        assert run_cli(metric, "--track", track, "--out", tmp_path / "out") == 1
+        assert f"{track}: row 3: repeats MSR 6 of p 1 NVD LN" in caplog.text
+    assert not (tmp_path / "out").exists()
+    # a repeated month without a state is a repeat too
+    track.write_text(TRACK_HEADER + "p,1,NVD,LN,6,ok,GoodFit,0.5,1.0,True\n"
+                     + "p,1,NVD,LN,7,error,,,,\n" * 2)
+    caplog.clear()
+    assert run_cli("quality", "--track", track, "--out", tmp_path / "out") == 1
+    assert f"{track}: row 3: repeats MSR 7 of p 1 NVD LN" in caplog.text
+
+
+def test_simulate_rejects_a_non_finite_value_and_writes_nothing(tmp_path, caplog):
+    # uniform noise of +-1e308 spans 2e308, which overflows to inf
+    assert run_cli("simulate", "--model", "AML", "--params", "0.004,120,1", "--horizon", "3",
+                   "--noise", "additive_rounded", "--magnitude", "1e308",
+                   "--out", tmp_path / "out") == 1
+    assert "AML value at month 1 is not finite: inf" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 def test_per_triple_failures_recorded_without_aborting(world, tmp_path, caplog):
     # a 4-month window leaves too few points for the 3-parameter model;
     # its row records the error, the other models still fit
@@ -860,7 +913,8 @@ def test_weights_name_their_files_in_shortest_float_form(tmp_path):
 
 def test_a_one_month_track_gives_quality_points_and_skips_entropy(world, tmp_path, caplog):
     # from MSR 24 of 24 every curve has one state: quality pools it, and
-    # entropy has no step
+    # entropy has no step, which is warned about once per group at any
+    # number of weights
     assert run_cli("track", "--corpus", world["corpus"], "--releases", world["releases"],
                    "--as-of", world["as_of"], "--datasets", "NVD,NVD.Bug", "--models", "LN,RE",
                    "--start-msr", "24", "--out", tmp_path) == 0
@@ -873,12 +927,12 @@ def test_a_one_month_track_gives_quality_points_and_skips_entropy(world, tmp_pat
     assert sorted(medians) == ["LN", "RE"]
     assert all(m["second_half_median"] is None for m in medians.values())
     caplog.clear()
-    assert run_cli("entropy", "--track", tmp_path / "track.csv", "--beta", "1",
+    assert run_cli("entropy", "--track", tmp_path / "track.csv", "--beta", "1,2",
                    "--out", tmp_path) == 0
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
         f"entropy: group {kind} skipped: no metric points" for kind in ("NVD", "NVD.Bug")
     ]
-    assert read_csv(tmp_path / "entropy_beta1.csv") == []
+    assert read_csv(tmp_path / "entropy_beta1.csv") == read_csv(tmp_path / "entropy_beta2.csv") == []
     assert read_json(tmp_path / "entropy_summary.json")["medians_by_beta"] == {}
 
 

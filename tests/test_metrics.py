@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -198,8 +199,11 @@ def _random_matrix(rng, n_curves=5, n_cols=10, missing=0.15):
 
 def test_aggregate_matches_brute_force_on_random_matrices():
     rng = random.Random(314)
-    for _ in range(40):
-        states = _random_matrix(rng)
+    full = random.Random(7)
+    # 40 random matrices with gaps, then 4 curves with a state at each of 12
+    # months, where every step pools all 4
+    fully_present = {f"c{i}": {m: full.choice((F, I, NF)) for m in range(1, 13)} for i in range(4)}
+    for states in itertools.chain((_random_matrix(rng) for _ in range(40)), [fully_present]):
         if not states:
             continue
         beta = 1.0 + 3.0 * rng.random()
@@ -212,24 +216,7 @@ def test_aggregate_matches_brute_force_on_random_matrices():
         assert list(quality.points) == [
             (m, pytest.approx(v)) for m, v in brute_force_quality(states, omega)
         ]
-
-
-def test_transition_count_conservation():
-    rng = random.Random(7)
-    states = {f"c{i}": {m: rng.choice((F, I, NF)) for m in range(1, 13)} for i in range(4)}
-    columns = 12
-    totals = 0
-    for prev, cur in zip(range(1, 13), range(2, 13)):
-        for sts in states.values():
-            totals += 1
-    assert totals == (columns - 1) * len(states)
-    # pooled transition counts over all steps match that total
-    pooled = 0
-    for prev, cur in zip(range(1, 13), range(2, 13)):
-        pooled += sum(
-            1 for sts in states.values() if prev in sts and cur in sts
-        )
-    assert pooled == (columns - 1) * len(states)
+    assert [m for m, _ in entropy.points] == list(range(2, 13))
 
 
 def test_half_medians_on_constant_series():
