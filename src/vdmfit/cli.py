@@ -24,6 +24,7 @@ import logging
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -146,7 +147,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:  # bad JSON, or a byte that is not UTF-8
+                raise ValueError(f"{args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         unknown = set(loaded) - set(_CONFIG_TYPES)
@@ -206,18 +210,26 @@ def _read_rows(
     ``parse(row)`` of its every row. The leading ``#`` lines are the
     metadata block, whose ``# key: value`` lines give ``as_of``,
     ``start_msr`` and ``config_hash``: they describe its data, not the
-    command's defaults. A bad header, a missing ``required`` column or a
-    bad value is a ValueError naming the file (and the row, from 1)."""
+    command's defaults. A byte that is not UTF-8, a row the csv module
+    cannot read, a bad header, a missing ``required`` column or a bad
+    value is a ValueError naming the file (and the row, from 1)."""
     header = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = []
-        for line in fh:
-            if lines or not line.startswith("#"):
-                lines.append(line)
-            elif line.startswith("# "):
-                key, _, value = line[2:].rstrip("\n").partition(": ")
-                header[key] = value
-        rows = list(csv.DictReader(lines))
+        try:
+            for line in fh:
+                if lines or not line.startswith("#"):
+                    lines.append(line)
+                elif line.startswith("# "):
+                    key, _, value = line[2:].rstrip("\n").partition(": ")
+                    header[key] = value
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    rows = []
+    try:
+        rows.extend(csv.DictReader(lines))  # keeps the rows read before an error
+    except csv.Error as exc:  # a field over the csv field limit, say
+        raise ValueError(f"{path}: row {len(rows) + 1}: {exc}") from None
     try:
         meta = cfg.metadata() | {
             key: parse_value(header[key])
@@ -622,10 +634,10 @@ def cmd_import(cfg: RunConfig, args: argparse.Namespace) -> int:
     releases = import_releases(cfg.releases) if cfg.releases else None
     out = _out_dir(cfg)
     export_corpus(corpus, out / "corpus.normalized.ndjson")
-    counts = {kind.value: len(corpus.of_kind(kind)) for kind in RecordKind}
+    counts = Counter(rec.kind for rec in corpus)
     payload = {
         "records": len(corpus),
-        "by_kind": counts,
+        "by_kind": {kind.value: counts[kind] for kind in RecordKind},
         "dropped_dangling_refs": [list(pair) for pair in corpus.dropped_refs],
     }
     if releases is not None:
@@ -715,7 +727,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(build_config(args), args)
-    # bad input: CorpusError, InsufficientDataError and DomainError are ValueErrors
+    # bad input: ParseError, InsufficientDataError and DomainError are ValueErrors
     except (ValueError, OSError) as exc:
         log.error("%s", exc)
         return 1

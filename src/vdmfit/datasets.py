@@ -10,9 +10,9 @@ m-th calendar month after the release month, so a September release has
 its first observation point on 31 October.
 
 The selectors read one index per corpus, built in a single pass over
-the records the first time a selector (or ``link_bugs_to_nvd``) uses
-that corpus, and cached on it: the nvd entries affecting each version,
-and what one nvd entry contributes to each kind. NVD counts the entry,
+the records the first time a selector uses that corpus, and cached on
+it: the nvd entries affecting each version, and what one nvd entry
+contributes to each kind. NVD counts the entry,
 NVD.Bug and NVD.Advice count it when it refs a bug or an advisory,
 NVD.Nbug counts the bugs linked to it by either rule, and Advice.Nbug
 the bugs of every advisory that refs it. A release may opt into the
@@ -40,7 +40,6 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "Corpus",
-    "CorpusError",
     "DatasetKind",
     "DuplicateIdError",
     "EmptyWindowError",
@@ -55,22 +54,16 @@ __all__ = [
     "import_corpus",
     "import_releases",
     "iso_date",
-    "link_bugs_to_nvd",
-    "month_end",
     "msr_end",
     "select_dataset",
 ]
 
 
-class CorpusError(ValueError):
+class ParseError(ValueError):
     pass
 
 
-class ParseError(CorpusError):
-    pass
-
-
-class DuplicateIdError(CorpusError):
+class DuplicateIdError(ValueError):
     pass
 
 
@@ -195,12 +188,6 @@ class Corpus:
     def __iter__(self) -> Iterator[SecurityRecord]:
         return iter(self._records.values())
 
-    def __getitem__(self, record_id: str) -> SecurityRecord:
-        return self._records[record_id]
-
-    def of_kind(self, kind: RecordKind) -> tuple[SecurityRecord, ...]:
-        return tuple(r for r in self if r.kind is kind)
-
     @cached_property
     def _index(self) -> "_CorpusIndex":
         # built by the first selector call rather than here, so a corpus
@@ -257,15 +244,6 @@ def _index_corpus(corpus: Corpus) -> _CorpusIndex:
     return _CorpusIndex(dict(nvds_by_version), counted, orphan_bugs)
 
 
-def link_bugs_to_nvd(corpus: Corpus) -> frozenset[tuple[str, str]]:
-    """(bug_id, nvd_id) edges under the two linking rules: the bug is
-    listed in the nvd entry's references, or some advisory references
-    both the bug and the nvd entry. These are the NVD.Nbug row of the
-    corpus index."""
-    linked = corpus._index.counted[DatasetKind.NVD_NBUG]
-    return frozenset((bug, nvd) for nvd, bugs in linked.items() for bug in bugs)
-
-
 def select_dataset(
     corpus: Corpus, kind: DatasetKind, release: Release
 ) -> dict[str, date]:
@@ -290,10 +268,6 @@ def select_dataset(
     return vulns
 
 
-def month_end(d: date) -> date:
-    return date(d.year, d.month, calendar.monthrange(d.year, d.month)[1])
-
-
 def msr_end(release_date: date, msr: int) -> date:
     """Last day of MSR number ``msr``: the end of the calendar month
     ``msr`` months after the release month."""
@@ -301,7 +275,7 @@ def msr_end(release_date: date, msr: int) -> date:
         raise ValueError(f"msr must be >= 1, got {msr}")
     total = release_date.year * 12 + (release_date.month - 1) + msr
     year, month0 = divmod(total, 12)
-    return month_end(date(year, month0 + 1, 1))
+    return date(year, month0 + 1, calendar.monthrange(year, month0 + 1)[1])
 
 
 def build_series(
@@ -370,15 +344,18 @@ def import_corpus(path: Union[str, Path]) -> Corpus:
     """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            records.append(_record_from_json(obj, f"{path}: line {lineno}"))
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+                records.append(_record_from_json(obj, f"{path}: line {lineno}"))
+        except UnicodeDecodeError as exc:  # decoded a block at a time, so no line to name
+            raise ParseError(f"{path}: {exc}") from None
     return Corpus(records)
 
 
@@ -409,7 +386,7 @@ def import_releases(path: Union[str, Path]) -> list[Release]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or a byte that is not UTF-8
             raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected a JSON array of releases")

@@ -48,7 +48,6 @@ __all__ = [
     "InsufficientDataError",
     "fit",
     "initial_guesses",
-    "sum_squared_error",
 ]
 
 
@@ -81,20 +80,6 @@ def _series_arrays(series: ObservationSeries) -> tuple[np.ndarray, np.ndarray]:
     t = np.array(series.months, dtype=float)
     y = np.array(series.counts, dtype=float)
     return t, y
-
-
-def sum_squared_error(
-    series: ObservationSeries, model_id: str, values: Sequence[float]
-) -> float:
-    """SSE of the model curve against the series, inf when the curve is
-    not evaluable at these parameters."""
-    t, y = _series_arrays(series)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = y - models.evaluate(model_id, values, t)
-            return float(r @ r)
-    except DomainError:
-        return math.inf
 
 
 def initial_guesses(

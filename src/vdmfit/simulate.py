@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date
 from enum import Enum
 from typing import Sequence
+
+import numpy as np
 
 from . import models
 from .datasets import (
@@ -35,7 +36,6 @@ __all__ = [
     "NoiseSpec",
     "SplitMix",
     "corpus_records_from_series",
-    "exact_series",
     "generate",
 ]
 
@@ -100,50 +100,30 @@ def generate(
     Month m gets round(curve(m) * (1 + eps_m)) for multiplicative noise
     or round(curve(m) + eps_m) for additive noise, eps_m seeded uniform
     in [-magnitude, +magnitude); counts are clamped non-negative and
-    non-decreasing. Fully reproducible from the seed.
+    non-decreasing. Fully reproducible from the seed. A value that is not
+    finite is a ValueError, with no numpy overflow warning before it.
     """
     if horizon_months < 1:
         raise ValueError("horizon must be >= 1")
     rng = SplitMix(noise.seed)
     points = []
     prev = 0
-    for m in range(1, horizon_months + 1):
-        base = models.evaluate(model_id, params, float(m))
-        if noise.kind is NoiseKind.MULTIPLICATIVE:
-            value = base * (1.0 + rng.uniform(-noise.magnitude, noise.magnitude))
-        elif noise.kind is NoiseKind.ADDITIVE_ROUNDED:
-            value = base + rng.uniform(-noise.magnitude, noise.magnitude)
-        else:
-            value = base
-        if not math.isfinite(value):
-            raise ValueError(f"{model_id} value at month {m} is not finite: {value!r}")
-        count = max(prev, 0, _round_half_up(value))
-        points.append((m, float(count)))
-        prev = count
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, horizon_months + 1):
+            base = models.evaluate(model_id, params, float(m))
+            if noise.kind is NoiseKind.MULTIPLICATIVE:
+                value = base * (1.0 + rng.uniform(-noise.magnitude, noise.magnitude))
+            elif noise.kind is NoiseKind.ADDITIVE_ROUNDED:
+                value = base + rng.uniform(-noise.magnitude, noise.magnitude)
+            else:
+                value = base
+            if not math.isfinite(value):
+                raise ValueError(f"{model_id} value at month {m} is not finite: {value!r}")
+            count = max(prev, 0, _round_half_up(value))
+            points.append((m, float(count)))
+            prev = count
     return ObservationSeries(
         product, version if version is not None else model_id, dataset_kind, tuple(points)
-    )
-
-
-def exact_series(
-    model_id: str,
-    params: Sequence[float],
-    horizon_months: int,
-    *,
-    product: str = "synthetic",
-    version: str | None = None,
-    dataset_kind: DatasetKind = DatasetKind.NVD,
-) -> ObservationSeries:
-    """Unrounded curve values for months 1..horizon (oracle-grade data
-    for fitter checks; counts are exact floats, not integers)."""
-    if horizon_months < 1:
-        raise ValueError("horizon must be >= 1")
-    points = tuple(
-        (m, float(models.evaluate(model_id, params, float(m))))
-        for m in range(1, horizon_months + 1)
-    )
-    return ObservationSeries(
-        product, version if version is not None else model_id, dataset_kind, points
     )
 
 

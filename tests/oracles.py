@@ -1,19 +1,31 @@
 """Independent oracles for the test suite.
 
-Everything here deliberately avoids the code paths under test: tail
+The oracles deliberately avoid the code paths under test: tail
 probabilities come from adaptive quadrature of the density (mpmath),
 curve values from arbitrary-precision re-evaluation of the formulas,
 and parameter estimates from plain grid search. Run this file directly
 to regenerate the frozen oracle tables in tests/data/.
+
+Three test helpers live here too, though they are not independent
+judges: ``exact_series`` builds data and ``sum_squared_error``
+recomputes an SSE, both through ``models.evaluate``, and
+``link_bugs_to_nvd`` reads the NVD.Nbug row of the corpus index.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
+from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+
+from vdmfit import models
+from vdmfit.datasets import Corpus, DatasetKind, ObservationSeries
+from vdmfit.fitter import _series_arrays
+from vdmfit.models import DomainError
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -119,6 +131,39 @@ def grid_search_3d(sse, lo, hi, points: int = 12, refinements: int = 2):
         lo = [best[1 + d] - steps[d] for d in range(3)]
         hi = [best[1 + d] + steps[d] for d in range(3)]
     return best[1], best[2], best[3], best[0]
+
+
+def exact_series(model_id: str, params: Sequence[float], horizon_months: int) -> ObservationSeries:
+    """Unrounded curve values for months 1..horizon (oracle-grade data
+    for fitter checks; counts are exact floats, not integers)."""
+    points = tuple(
+        (m, float(models.evaluate(model_id, params, float(m))))
+        for m in range(1, horizon_months + 1)
+    )
+    return ObservationSeries("synthetic", model_id, DatasetKind.NVD, points)
+
+
+def sum_squared_error(
+    series: ObservationSeries, model_id: str, values: Sequence[float]
+) -> float:
+    """SSE of the model curve against the series, inf when the curve is
+    not evaluable at these parameters."""
+    t, y = _series_arrays(series)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = y - models.evaluate(model_id, values, t)
+            return float(r @ r)
+    except DomainError:
+        return math.inf
+
+
+def link_bugs_to_nvd(corpus: Corpus) -> frozenset[tuple[str, str]]:
+    """(bug_id, nvd_id) edges under the two linking rules: the bug is
+    listed in the nvd entry's references, or some advisory references
+    both the bug and the nvd entry. These are the NVD.Nbug row of the
+    corpus index."""
+    linked = corpus._index.counted[DatasetKind.NVD_NBUG]
+    return frozenset((bug, nvd) for nvd, bugs in linked.items() for bug in bugs)
 
 
 def regenerate_chi2_oracle() -> None:

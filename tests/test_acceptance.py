@@ -19,7 +19,6 @@ from vdmfit.datasets import (
     DatasetKind,
     Release,
     build_series,
-    link_bugs_to_nvd,
     msr_end,
     select_dataset,
 )
@@ -33,10 +32,10 @@ from vdmfit.metrics import (
     rolling_gof,
 )
 from vdmfit.models import MODEL_IDS
-from vdmfit.simulate import NoiseKind, NoiseSpec, exact_series, generate
+from vdmfit.simulate import NoiseKind, NoiseSpec, generate
 from vdmfit.stats import bonferroni, chi_square_survival, kruskal_wallis, mann_whitney_u
 
-from oracles import CHI2_DOFS, CHI2_GRID, load_chi2_oracle
+from oracles import CHI2_DOFS, CHI2_GRID, exact_series, link_bugs_to_nvd, load_chi2_oracle
 from test_datasets import (
     browser_vulnerability_space_corpus,
     brute_force_links,

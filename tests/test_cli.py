@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import csv
 import json
@@ -816,6 +817,45 @@ def test_simulate_rejects_a_non_finite_value_and_writes_nothing(tmp_path, caplog
     assert not (tmp_path / "out").exists()
 
 
+def test_a_curve_that_overflows_is_an_error_line_alone(tmp_path):
+    # 1e308 * ln(2) + 1e308 overflows inside numpy, which would warn first
+    out = tmp_path / "out"
+    proc = _python("-m", "vdmfit.cli", "simulate", "--model", "LN", "--params", "1e308,1e308",
+                   "--horizon", "3", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == "ERROR LN value at month 1 is not finite: inf\n"
+    assert "RuntimeWarning" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reader, content, message", [
+    ("config", b'{"seed": 1,}', "Expecting property name enclosed in double quotes"),
+    ("config", b'{"seed": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ("corpus", b'{"id": "\xff"}\n', "'utf-8' codec can't decode byte 0xff"),
+    ("releases", b'[{"product": "\xff"}]', "'utf-8' codec can't decode byte 0xff"),
+    ("track", TRACK_HEADER.encode() + b"p,\xff,NVD,LN,6,ok,GoodFit,0.5,1.0,True\n",
+     "'utf-8' codec can't decode byte 0xff"),
+    ("track", TRACK_HEADER.encode() + b"p," + b"v" * 200_000
+     + b",NVD,LN,6,ok,GoodFit,0.5,1.0,True\n", "row 1: field larger than field limit (131072)"),
+], ids=["config-json", "config-utf8", "corpus-utf8", "releases-utf8", "track-utf8",
+        "track-csv-field-limit"])
+def test_an_outside_file_that_fails_to_parse_names_itself(
+    world, tmp_path, caplog, reader, content, message
+):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    argv = {
+        "config": ("fit", "--config", bad, "--corpus", world["corpus"],
+                   "--releases", world["releases"]),
+        "corpus": ("import", "--corpus", bad),
+        "releases": ("import", "--corpus", world["corpus"], "--releases", bad),
+        "track": ("quality", "--track", bad),
+    }[reader]
+    assert run_cli(*argv, "--out", tmp_path / "out") == 1
+    assert f"{bad}: {message}" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 def test_per_triple_failures_recorded_without_aborting(world, tmp_path, caplog):
     # a 4-month window leaves too few points for the 3-parameter model;
     # its row records the error, the other models still fit
@@ -1039,14 +1079,19 @@ def test_summaries_are_strict_json_with_null_for_an_empty_half(world, tmp_path):
     assert all(m["first_half_median"] == m["grand_median"] for m in medians.values())
 
 
-def _probe_output(probe: str) -> str:
-    """What a fresh Python process running ``probe`` prints, with src/
-    first on its path."""
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh Python process run with ``argv``, with src/ first on its
+    path."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, check=True)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def _probe_output(probe: str) -> str:
+    """What a fresh Python process running ``probe`` prints."""
+    proc = _python("-c", probe)
+    proc.check_returncode()
     return proc.stdout.strip()
 
 
@@ -1070,3 +1115,23 @@ def test_package_import_loads_no_submodule_and_no_numpy(imports):
     )
     expected = sorted(name.strip() for name in imports.split(",") if name.strip() != "vdmfit")
     assert _probe_output(probe) == str(expected)
+
+
+def test_every_exported_name_has_a_caller_in_src():
+    # a name in a module's __all__ is loaded, imported or read as an attribute
+    # by some module of the package; a helper only tests call is in oracles.py
+    package = Path(__file__).resolve().parent.parent / "src" / "vdmfit"
+    exported, used = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Assign) and [
+                t.id for t in node.targets if isinstance(t, ast.Name)
+            ] == ["__all__"]:
+                exported += [(path.stem, name) for name in ast.literal_eval(node.value)]
+    assert [f"{module}.{name}" for module, name in exported if name not in used] == []

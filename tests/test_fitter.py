@@ -10,12 +10,11 @@ from vdmfit.fitter import (
     InsufficientDataError,
     fit,
     initial_guesses,
-    sum_squared_error,
 )
 from vdmfit.models import MODEL_IDS, evaluate, spec
-from vdmfit.simulate import NoiseKind, NoiseSpec, exact_series, generate
+from vdmfit.simulate import NoiseKind, NoiseSpec, generate
 
-from oracles import grid_search_2d, grid_search_3d
+from oracles import exact_series, grid_search_2d, grid_search_3d, sum_squared_error
 
 
 def _series(points):

@@ -14,10 +14,10 @@ from vdmfit.gof import (
 )
 from vdmfit.gof import test_fit as run_gof_test
 from vdmfit.models import ParamVector
-from vdmfit.simulate import NoiseKind, NoiseSpec, exact_series, generate
+from vdmfit.simulate import NoiseKind, NoiseSpec, generate
 from vdmfit.stats import chi_square_survival
 
-from oracles import load_chi2_oracle
+from oracles import exact_series, load_chi2_oracle
 
 
 def _series(points):

@@ -17,7 +17,9 @@ from vdmfit.metrics import (
     quality_at,
     rolling_gof,
 )
-from vdmfit.simulate import NoiseKind, NoiseSpec, exact_series, generate
+from vdmfit.simulate import NoiseKind, NoiseSpec, generate
+
+from oracles import exact_series
 
 F, I, NF = FitClass.GOOD_FIT, FitClass.INCONCLUSIVE, FitClass.NOT_FIT
 U, S, B = TransitionKind.UNCHANGED, TransitionKind.SMALL_JUMP, TransitionKind.BIG_JUMP

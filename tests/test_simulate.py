@@ -16,10 +16,11 @@ from vdmfit.simulate import (
     NoiseSpec,
     SplitMix,
     corpus_records_from_series,
-    exact_series,
     generate,
 )
 from datetime import date
+
+from oracles import exact_series
 
 
 def test_splitmix_is_reproducible_and_seed_sensitive():
