@@ -173,8 +173,9 @@ def rolling_gof(
 
     Month m uses only the points with msr <= m, exactly as if the fit
     had been run back then. Each prefix is fit independently (no state
-    is carried between months). Months where the fit itself fails are
-    reported as None; a too-short series yields an empty list.
+    is carried between months). Months whose prefix is too short to fit
+    are reported as None; the list is empty only when the series ends
+    before ``start_msr``.
     """
     out: list[tuple[int, FitResult | None]] = []
     for m in range(start_msr, series.last_msr + 1):

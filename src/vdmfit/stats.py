@@ -9,7 +9,8 @@ external stats dependency; everything is a pure function.
 from __future__ import annotations
 
 import math
-from itertools import combinations, groupby
+from collections import Counter
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 __all__ = [
@@ -94,37 +95,22 @@ class TestResult(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
-def _tie_term(pooled_sorted: Sequence[float]) -> float:
-    return sum(
-        (lambda c: c * c * c - c)(len(list(g))) for _, g in groupby(pooled_sorted)
-    )
+def _tie_term(ranks: Sequence[float]) -> int:
+    # tied values share one average rank, so each distinct rank is one tie group
+    return sum(c * c * c - c for c in Counter(ranks).values())
 
 
 def _norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def _mwu_exact(ranks_a_sum: float, n_a: int, n_b: int, alternative: str) -> float:
-    # tie-free: pooled ranks are exactly 1..n, enumerate which positions
-    # belong to the first sample
-    n = n_a + n_b
+def _mwu_exact(u_obs: float, n_a: int, n_b: int) -> tuple[float, float]:
+    # tie-free: the pooled ranks are exactly 1..n, so U runs over every n_a of them
     offset = n_a * (n_a + 1) / 2.0
-    u_obs = ranks_a_sum - offset
-    total = 0
-    count_le = 0
-    count_ge = 0
-    for pos in combinations(range(1, n + 1), n_a):
-        u = sum(pos) - offset
-        total += 1
-        if u <= u_obs + 1e-9:
-            count_le += 1
-        if u >= u_obs - 1e-9:
-            count_ge += 1
-    if alternative == "less":
-        return count_le / total
-    if alternative == "greater":
-        return count_ge / total
-    return min(1.0, 2.0 * min(count_le, count_ge) / total)
+    us = [sum(pos) - offset for pos in combinations(range(1, n_a + n_b + 1), n_a)]
+    count_le = sum(u <= u_obs + 1e-9 for u in us)
+    count_ge = sum(u >= u_obs - 1e-9 for u in us)
+    return count_le / len(us), count_ge / len(us)
 
 
 def mann_whitney_u(
@@ -136,7 +122,8 @@ def mann_whitney_u(
     statement about ``a`` relative to ``b``. The reported statistic is
     U of the first sample. Exact enumeration when the combined size is
     at most MWU_EXACT_LIMIT and there are no ties, otherwise a normal
-    approximation with tie correction and continuity correction.
+    approximation with tie correction and continuity correction. Each
+    one-sided p is read from its own tail, so a far tail stays positive.
     """
     if alternative not in ("greater", "less", "two_sided"):
         raise ValueError(f"unknown alternative {alternative!r}")
@@ -144,31 +131,24 @@ def mann_whitney_u(
         raise ValueError("both samples must be non-empty")
     n_a, n_b = len(a), len(b)
     n = n_a + n_b
-    pooled = [float(v) for v in a] + [float(v) for v in b]
-    ranks = average_ranks(pooled)
-    r_a = sum(ranks[:n_a])
-    u_a = r_a - n_a * (n_a + 1) / 2.0
+    ranks = average_ranks([float(v) for v in a] + [float(v) for v in b])
+    u_a = sum(ranks[:n_a]) - n_a * (n_a + 1) / 2.0
+    ties = _tie_term(ranks)
 
-    has_ties = len(set(pooled)) < n
-    if n <= MWU_EXACT_LIMIT and not has_ties:
-        p = _mwu_exact(r_a, n_a, n_b, alternative)
-        return TestResult(u_a, p, "exact enumeration")
-
-    mu = n_a * n_b / 2.0
-    sigma2 = (n_a * n_b / 12.0) * ((n + 1) - _tie_term(sorted(pooled)) / (n * (n - 1)))
-    if sigma2 <= 0.0:
-        return TestResult(u_a, 1.0, "normal approximation (degenerate: all values tied)")
-    sigma = math.sqrt(sigma2)
-    if alternative == "less":
-        z = (u_a - mu + 0.5) / sigma
-        p = _norm_cdf(z)
-    elif alternative == "greater":
-        z = (u_a - mu - 0.5) / sigma
-        p = 1.0 - _norm_cdf(z)
+    if n <= MWU_EXACT_LIMIT and not ties:
+        tails = _mwu_exact(u_a, n_a, n_b)
+        method = "exact enumeration"
     else:
-        z = max(abs(u_a - mu) - 0.5, 0.0) / sigma
-        p = min(1.0, 2.0 * (1.0 - _norm_cdf(z)))
-    return TestResult(u_a, p, "normal approximation, tie-corrected, continuity-corrected")
+        mu = n_a * n_b / 2.0
+        sigma2 = (n_a * n_b / 12.0) * ((n + 1) - ties / (n * (n - 1)))
+        if sigma2 <= 0.0:
+            return TestResult(u_a, 1.0, "normal approximation (degenerate: all values tied)")
+        sigma = math.sqrt(sigma2)
+        tails = (_norm_cdf((u_a - mu + 0.5) / sigma), _norm_cdf((mu - u_a + 0.5) / sigma))
+        method = "normal approximation, tie-corrected, continuity-corrected"
+    p_less, p_greater = tails
+    p = {"less": p_less, "greater": p_greater, "two_sided": min(1.0, 2.0 * min(tails))}
+    return TestResult(u_a, p[alternative], method)
 
 
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
@@ -184,9 +164,8 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
     if any(len(g) == 0 for g in groups):
         raise ValueError("all groups must be non-empty")
     sizes = [len(g) for g in groups]
-    pooled = [float(v) for g in groups for v in g]
-    n = len(pooled)
-    ranks = average_ranks(pooled)
+    ranks = average_ranks([float(v) for g in groups for v in g])
+    n = len(ranks)
 
     warnings = []
     if min(sizes) < 5:
@@ -202,7 +181,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
         start += size
     h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
 
-    correction = 1.0 - _tie_term(sorted(pooled)) / (n ** 3 - n)
+    correction = 1.0 - _tie_term(ranks) / (n ** 3 - n)
     if correction <= 0.0:
         return TestResult(0.0, 1.0, "rank sums (degenerate: all values tied)", tuple(warnings))
     h /= correction

@@ -556,6 +556,20 @@ def test_compare_identical_groups_accepts(tmp_path, capsys):
     assert all(p["null_hypothesis"] == "accept" for p in doc["pairwise_mann_whitney"])
 
 
+def test_compare_greater_reads_a_far_tail_as_a_small_positive_p(tmp_path, capsys):
+    series = tmp_path / "metric.csv"
+    series.write_text("group,msr,value\n" + "".join(
+        f"{g},{m},{v}\n" for m in range(60) for g, v in (("hi", 100 + m), ("lo", m))))
+    assert run_cli("compare", "--series", series, "--baseline", "hi",
+                   "--alternative", "greater", "--out", tmp_path) == 0
+    printed = capsys.readouterr().out
+    assert "mann-whitney (greater): hi vs lo U=3600 p=" in printed
+    assert "p=0 " not in printed
+    (pair,) = read_json(tmp_path / "compare.json")["pairwise_mann_whitney"]
+    assert 0.0 < pair["p_value"] < 1e-20
+    assert pair["null_hypothesis"] == "reject"
+
+
 def test_config_file_with_flag_override(world, tmp_path, caplog):
     config = tmp_path / "run.json"
     settings = {
@@ -678,6 +692,42 @@ def test_errors_exit_nonzero(tmp_path, caplog):
     two.write_text("group,msr,value\na,7,0.5\nb,7,0.25\na,8,0.75\nb,8,0.5\n")
     assert run_cli("compare", "--series", two, "--baseline", "c", "--out", tmp_path) == 1
     assert "baseline group 'c' not found in ['a', 'b']" in caplog.text
+
+
+_TRACK_HEADER = "product,version,dataset,model,msr,status,classification,p_value,chi2,valid\n"
+_NO_INPUTS = ("--corpus", "missing.ndjson", "--releases", "missing.json")
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (("fit", *_NO_INPUTS, "--datasets", ""), {}, "no dataset kinds selected"),
+        (("track", *_NO_INPUTS, "--start-msr", "0"), {}, "start_msr must be >= 1"),
+        (("fit", *_NO_INPUTS, "--workers", "0"), {}, "workers must be >= 1"),
+        (("fit", "--config", "run.json"), {"run.json": "[1]"},
+         "run.json: config must be a JSON object"),
+        (("fit", "--config", "run.json"), {"run.json": '{"modles": ["LN"]}'},
+         "run.json: unknown config keys ['modles']"),
+        (("fit",), {}, "both --corpus and --releases are required for this command"),
+        (("quality", "--track", "t.csv"),
+         {"t.csv": _TRACK_HEADER + "p,1,NVD,LN,6,maybe,GoodFit,0.5,1.0,True\n"},
+         "t.csv: row 1: status must be ok or error, got 'maybe'"),
+        (("entropy", "--track", "t.csv"),
+         {"t.csv": _TRACK_HEADER + "p,1,NVD,LN,6,error,,,,\np,1,NVD,LN,7,error,,,,\n"},
+         "no usable state sequences (is the track data empty?)"),
+        (("import",), {}, "--corpus is required"),
+    ],
+    ids=["datasets-empty", "start-msr", "workers", "config-array", "config-key",
+         "no-inputs", "track-status", "track-all-error", "import-no-corpus"],
+)
+def test_each_input_error_exits_1_with_its_error_line(tmp_path, caplog, monkeypatch,
+                                                       argv, files, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text)
+    assert run_cli(*argv, "--out", "out") == 1
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [("ERROR", message)]
+    assert not Path("out").exists()
 
 
 def test_a_repeated_list_value_is_rejected_before_any_file_is_read(tmp_path, caplog):

@@ -60,6 +60,27 @@ def test_mann_whitney_matches_scipy_with_ties():
     assert mine.p_value == pytest.approx(float(ref.pvalue), abs=1e-12)
 
 
+def test_mann_whitney_matches_scipy_asymptotic_out_to_the_far_tails():
+    # sizes past the exact limit, values rounded so that ties are common,
+    # shifts up to far-tail p-values; each one-sided tail is read on its own side
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        n_a, n_b = rng.integers(13, 81, size=2)
+        scale = rng.choice([1.0, 4.0, 100.0])
+        a = np.round(rng.normal(0.0, 1.0, n_a) * scale) / scale
+        b = np.round(rng.normal(rng.uniform(-4.0, 4.0), 1.0, n_b) * scale) / scale
+        for alt_mine, alt_scipy in (
+            ("less", "less"),
+            ("greater", "greater"),
+            ("two_sided", "two-sided"),
+        ):
+            ref = float(scipy.stats.mannwhitneyu(
+                a, b, alternative=alt_scipy, method="asymptotic").pvalue)
+            if ref >= 1e-300:
+                mine = mann_whitney_u(a, b, alt_mine).p_value
+                assert mine == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
 def test_mann_whitney_exact_matches_scipy():
     a = [1.0, 2.0, 3.0, 4.0, 5.0]
     b = [6.0, 7.0, 8.0, 9.0]

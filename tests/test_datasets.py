@@ -1,6 +1,7 @@
 import calendar
 import json
 import random
+import re
 from datetime import date, timedelta
 
 import pytest
@@ -20,6 +21,7 @@ from vdmfit.datasets import (
     build_series,
     export_corpus,
     import_corpus,
+    import_releases,
     msr_end,
     select_dataset,
 )
@@ -409,6 +411,30 @@ def test_observation_series_validation():
 # --- corpus I/O --------------------------------------------------------------
 
 
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp: ObservationSeries("p", "v", DatasetKind.NVD, ((1, -1.0),)),
+         ValueError, "counts must be non-negative"),
+        (lambda tmp: msr_end(date(2005, 1, 1), 0), ValueError, "msr must be >= 1, got 0"),
+        (lambda tmp: import_corpus(_write(
+            tmp / "c.ndjson", '{"id": "", "kind": "bug", "published": "2005-01-01"}\n')),
+         ParseError, "line 1: record id must be a non-empty string"),
+        (lambda tmp: import_releases(_write(tmp / "r.json", '{"product": "p"}')),
+         ParseError, "expected a JSON array of releases"),
+    ],
+    ids=["negative-count", "msr-zero", "empty-id", "releases-object"],
+)
+def test_each_bad_input_raises_its_error_by_name(tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(tmp_path)
+
+
 def test_import_empty_file(tmp_path):
     path = tmp_path / "corpus.ndjson"
     path.write_text("")
@@ -454,8 +480,6 @@ def test_import_rejects_mistyped_affects_and_refs(tmp_path):
 
 
 def test_releases_reject_mistyped_fields(tmp_path):
-    from vdmfit.datasets import import_releases
-
     good = {"product": "ff", "version": "1.0", "release_date": "2004-11-09"}
     path = tmp_path / "releases.json"
     for key, value, expected in [

@@ -232,6 +232,12 @@ def test_rolling_gof_below_start_is_empty():
     assert rolling_gof(series, "LN") == []
 
 
+def test_rolling_gof_too_short_to_fit_is_none_each_month():
+    # AML has three parameters, so a prefix of three points cannot be fit
+    series = exact_series("AML", (0.004, 120.0, 1.0), 3)
+    assert rolling_gof(series, "AML", start_msr=1) == [(1, None), (2, None), (3, None)]
+
+
 def test_rolling_gof_exact_linear_all_good():
     series = exact_series("LN", (2.0, 3.0), 24)
     results = rolling_gof(series, "LN")

@@ -53,6 +53,7 @@ def test_chi_square_survival_monotone_and_vanishing():
 def test_chi_square_survival_spot_values():
     assert chi_square_survival(3.841, 1) == pytest.approx(0.05, abs=1e-3)
     assert chi_square_survival(0.0, 5) == 1.0
+    assert chi_square_survival(math.inf, 3) == 0.0
 
 
 def test_average_ranks_with_ties():
@@ -107,6 +108,31 @@ def test_mwu_exact_agrees_with_approximation_direction():
     assert res.p_value < 1e-4
     res_rev = mann_whitney_u(a, b, alternative="greater")
     assert res_rev.p_value > 0.999
+
+
+def test_mwu_far_tails_stay_positive_and_mirror():
+    # separated 60 vs 60: |z| is about 9.4, and 1 - Phi(9.4) cancels to 0 in doubles
+    a = [float(v) for v in range(60)]
+    b = [float(v) for v in range(100, 160)]
+    p = mann_whitney_u(a, b, "less").p_value
+    assert mann_whitney_u(b, a, "greater").p_value == p > 0.0
+    assert mann_whitney_u(a, b, "two_sided").p_value == 2.0 * p
+    assert mann_whitney_u(b, a, "two_sided").p_value == 2.0 * p
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mann_whitney_u([1.0], [2.0], "both"), "unknown alternative 'both'"),
+        (lambda: mann_whitney_u([1.0], []), "both samples must be non-empty"),
+        (lambda: kruskal_wallis([[1.0, 2.0]]), "need at least two groups"),
+        (lambda: kruskal_wallis([[1.0], []]), "all groups must be non-empty"),
+    ],
+    ids=["alternative", "mwu-empty", "kw-one-group", "kw-empty-group"],
+)
+def test_rank_tests_reject_bad_input_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def _mwu_monte_carlo(a, b, alternative, n_perm, seed):
