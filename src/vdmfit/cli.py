@@ -16,7 +16,6 @@ run. The metric commands carry ``as_of``, ``start_msr`` and
 from __future__ import annotations
 
 import argparse
-import concurrent.futures  # its process pool, and multiprocessing, load on first use
 import csv
 import hashlib
 import json
@@ -27,11 +26,9 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from numpy.linalg import LinAlgError
-
-from . import __version__
+from . import DEFAULT_MULTISTART, MODEL_IDS, FitClass, NoiseKind, __version__
 from .datasets import (
     Corpus,
     DatasetKind,
@@ -48,14 +45,13 @@ from .datasets import (
     msr_end,
     select_dataset,
 )
-from .fitter import DEFAULT_MULTISTART
-from .gof import FitClass, FitResult
 from .metrics import (
     DEFAULT_START_MSR, EmptyStepError, aggregate_entropy, aggregate_quality, rolling_gof
 )
-from .models import MODEL_IDS, spec
-from .simulate import NoiseKind, NoiseSpec, corpus_records_from_series, generate
 from .stats import bonferroni, kruskal_wallis, mann_whitney_u
+
+if TYPE_CHECKING:
+    from .gof import FitResult
 
 log = logging.getLogger("vdmfit")
 
@@ -85,7 +81,9 @@ class RunConfig:
         if not self.datasets:
             raise ValueError("no dataset kinds selected")
         for m in self.models:
-            spec(m)
+            if m not in MODEL_IDS:
+                from .models import spec  # its error names the unknown id
+                spec(m)
         for d in self.datasets:
             DatasetKind(d)
         if not self.beta or not all(math.isfinite(b) and b >= 1.0 for b in self.beta):
@@ -302,17 +300,15 @@ def _param_csv(values: Sequence[float]) -> str:
     return ";".join(repr(v) for v in values)
 
 
-# what a fit raises on bad data (InsufficientDataError and DomainError are
-# ValueErrors); anything else is a bug and propagates
-_FIT_FAILURES = (ValueError, LinAlgError)
-
-
 def _track_job(payload: tuple[ObservationSeries, str, int, int]):
     """Every fit the CLI makes: ``fit`` is the track of the last month."""
+    # bad data makes a fit raise a ValueError (InsufficientDataError, DomainError)
+    # or numpy's LinAlgError; anything else is a bug and propagates
+    from numpy.linalg import LinAlgError
     series, model_id, start_msr, multistart = payload
     try:
         return ("ok", rolling_gof(series, model_id, start_msr, multistart))
-    except _FIT_FAILURES as exc:  # per-curve failures never abort a sweep
+    except (ValueError, LinAlgError) as exc:  # per-curve failures never abort a sweep
         return ("error", str(exc))
 
 
@@ -321,6 +317,7 @@ def _run_jobs(func, payloads: Sequence, workers: int) -> list:
     workers = min(workers, len(payloads))
     if workers <= 1:
         return [func(p) for p in payloads]
+    import concurrent.futures
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, payloads))
 
@@ -390,6 +387,7 @@ def _result_row(series: ObservationSeries, model_id: str, result: FitResult | No
 
 
 def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .models import spec
     curves, skipped, meta = _fit_curves(cfg, None)
     rows = []
     summary: dict[str, dict[str, int]] = {
@@ -588,6 +586,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .simulate import NoiseSpec, corpus_records_from_series, generate
     values = [float(v) for v in args.params.split(",")]
     noise = NoiseSpec(NoiseKind(args.noise), args.magnitude, cfg.seed)
     version = args.version or args.model

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import models
+from . import DEFAULT_MULTISTART, models
 from .datasets import ObservationSeries
 from .models import DomainError, ParamVector
 
@@ -54,10 +54,6 @@ __all__ = [
 class InsufficientDataError(ValueError):
     """Fewer observation points than param_count + 1."""
 
-
-# nodes on each launch axis of the multistart grid of AML, RE and LP (AT,
-# LN and RQ iterate on nothing); the only fit setting a run chooses
-DEFAULT_MULTISTART = 3
 
 _MAX_ITERATIONS = 200
 _RELATIVE_SSE_TOLERANCE = 1e-9

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from . import models, stats
+from . import FitClass, models, stats
 from .datasets import ObservationSeries
 from .fitter import FitOutcome, InsufficientDataError
 
@@ -29,12 +28,6 @@ __all__ = [
     "classify",
     "test_fit",
 ]
-
-
-class FitClass(Enum):
-    GOOD_FIT = "GoodFit"
-    INCONCLUSIVE = "Inconclusive"
-    NOT_FIT = "NotFit"
 
 
 class InvalidExpectedError(ValueError):

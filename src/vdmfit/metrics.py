@@ -25,11 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from . import DEFAULT_MULTISTART, FitClass
 from .datasets import ObservationSeries
-from .fitter import DEFAULT_MULTISTART, InsufficientDataError, fit
-from .gof import FitClass, FitResult, test_fit
+
+if TYPE_CHECKING:
+    from .gof import FitResult
 
 __all__ = [
     "DEFAULT_START_MSR",
@@ -177,13 +179,15 @@ def rolling_gof(
     are reported as None; the list is empty only when the series ends
     before ``start_msr``.
     """
+    # numpy loads with the first fit; each call reads the module's current binding
+    from . import fitter, gof
     out: list[tuple[int, FitResult | None]] = []
     for m in range(start_msr, series.last_msr + 1):
         prefix = series.truncated(m)
         try:
-            outcome = fit(prefix, model_id, multistart)
-            result: FitResult | None = test_fit(prefix, outcome)
-        except InsufficientDataError:
+            outcome = fitter.fit(prefix, model_id, multistart)
+            result: FitResult | None = gof.test_fit(prefix, outcome)
+        except fitter.InsufficientDataError:
             result = None
         out.append((m, result))
     return out

@@ -45,6 +45,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from . import MODEL_IDS
+
 __all__ = [
     "MODEL_IDS",
     "MODELS",
@@ -171,7 +173,8 @@ MODELS = {
     )
 }
 
-MODEL_IDS = tuple(MODELS)
+if tuple(MODELS) != MODEL_IDS:
+    raise ImportError(f"MODELS rows {tuple(MODELS)} differ from vdmfit.MODEL_IDS {MODEL_IDS}")
 
 
 def spec(model_id: str) -> ModelSpec:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from . import models
+from . import NoiseKind, models
 from .datasets import (
     DatasetKind,
     ObservationSeries,
@@ -62,12 +61,6 @@ class SplitMix:
     def uniform(self, low: float, high: float) -> float:
         u = (self.next_u64() >> 11) * 2.0 ** -53  # [0, 1)
         return low + (high - low) * u
-
-
-class NoiseKind(Enum):
-    NONE = "none"
-    MULTIPLICATIVE = "multiplicative"
-    ADDITIVE_ROUNDED = "additive_rounded"
 
 
 @dataclass(frozen=True)

@@ -301,9 +301,9 @@ def test_fits_are_the_last_month_of_the_track(world, tmp_path, workers):
         assert [row[c] for c in columns] == [tracked[c] for c in columns]
 
 
-def _counting_rolling_gof(monkeypatch, fail_model=None):
+def _counting_rolling_gof(monkeypatch, fail_model=None, error=ValueError):
     """Replace cli.rolling_gof with a wrapper that records the model of
-    every call and raises for ``fail_model``; returns the record."""
+    every call and raises ``error`` for ``fail_model``; returns the record."""
     import vdmfit.cli as cli
 
     rolling_gof = cli.rolling_gof
@@ -312,7 +312,7 @@ def _counting_rolling_gof(monkeypatch, fail_model=None):
     def counting(series, model_id, *args, **kwargs):
         calls.append(model_id)
         if model_id == fail_model:
-            raise ValueError(f"no {model_id} today")
+            raise error(f"no {model_id} today")
         return rolling_gof(series, model_id, *args, **kwargs)
 
     monkeypatch.setattr(cli, "rolling_gof", counting)
@@ -355,6 +355,25 @@ def test_failed_track_curve_keeps_its_months_as_error_rows(world, tmp_path, monk
         assert values(tmp_path / "e_file" / name) == expected
     assert run_cli("quality", "--track", out / "track.csv", "--out", tmp_path / "q") == 0
     assert {r["group"] for r in read_csv(tmp_path / "q" / "quality_omega1.csv")} == {"LN"}
+
+
+def test_a_singular_system_fails_only_its_curve(world, tmp_path, monkeypatch, caplog):
+    # numpy's LinAlgError from one curve's fit fails that curve alone
+    from numpy.linalg import LinAlgError
+
+    _counting_rolling_gof(monkeypatch, fail_model="RE", error=LinAlgError)
+    out = tmp_path / "failed"
+    assert run_cli("track", "--corpus", world["corpus"], "--releases", world["releases"],
+                   "--as-of", world["as_of"], "--datasets", "NVD", "--models", "LN,RE",
+                   "--out", out) == 0
+    version = read_json(world["releases"])[0]["version"]
+    assert [m for m in caplog.messages if m.startswith("fit failed for ")] == [
+        f"fit failed for synthetic {version} NVD RE: no RE today"
+    ]
+    rows = read_csv(out / "track.csv")
+    assert [int(r["msr"]) for r in rows if r["model"] == "RE"] == list(range(6, 25))
+    assert {r["status"] for r in rows if r["model"] == "RE"} == {"error"}
+    assert {r["status"] for r in rows if r["model"] == "LN"} == {"ok"}
 
 
 def test_equal_curves_are_fitted_once(world, tmp_path, monkeypatch, caplog):
@@ -1145,14 +1164,29 @@ def _probe_output(probe: str) -> str:
     return proc.stdout.strip()
 
 
-def test_cli_import_leaves_statistics_and_multiprocessing_unloaded():
+def test_cli_import_leaves_statistics_and_multiprocessing_unloaded(world, tmp_path):
+    # numpy loads only in the commands that fit, a process pool only with workers
+    inputs = ["--corpus", str(world["corpus"]), "--releases", str(world["releases"])]
+    curves = inputs + ["--as-of", world["as_of"], "--datasets", "NVD,NVD.Bug", "--models", "LN"]
+    assert run_cli("track", *curves, "--out", tmp_path) == 0
+    no_fit = [
+        ["import", *inputs, "--out", str(tmp_path / "import")],
+        ["entropy", "--track", str(tmp_path / "track.csv"), "--out", str(tmp_path)],
+        ["quality", "--track", str(tmp_path / "track.csv"), "--out", str(tmp_path)],
+        ["compare", "--series", str(tmp_path / "entropy_beta1.csv"), "--out", str(tmp_path)],
+    ]
+    fit = ["fit", *curves, "--out", str(tmp_path / "fit")]
     probe = (
-        "import sys, numpy\n"
-        "before = set(sys.modules)\n"
+        "import sys\n"
         "import vdmfit.cli\n"
-        "print(sorted({'statistics', 'multiprocessing'} & (set(sys.modules) - before)))\n"
+        "def loaded(*names): return sorted(set(names) & set(sys.modules))\n"
+        "print(loaded('numpy', 'statistics', 'multiprocessing', 'concurrent.futures'))\n"
+        f"print([vdmfit.cli.main(argv) for argv in {no_fit!r}])\n"
+        "print(loaded('numpy', 'multiprocessing', 'concurrent.futures'))\n"
+        f"print(vdmfit.cli.main({fit!r}), loaded('numpy'))\n"
     )
-    assert _probe_output(probe) == "[]"
+    lines = _probe_output(probe).splitlines()  # compare prints its tests in between
+    assert (lines[0], lines[-3:]) == ("[]", ["[0, 0, 0, 0]", "[]", "0 ['numpy']"])
 
 
 @pytest.mark.parametrize("imports", ["vdmfit", "vdmfit.stats, vdmfit.datasets"])
