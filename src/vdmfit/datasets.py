@@ -307,7 +307,6 @@ def iso_date(text: str) -> date:
     return day
 
 
-_KIND_BY_NAME = {k.value: k for k in RecordKind}
 _JSON_TYPE_NAMES = {str: "a string", list: "an array of strings", bool: "true or false"}
 
 
@@ -320,14 +319,18 @@ def _json_field(obj: dict, key: str, kind: type, default: object = None) -> obje
     return value
 
 
-def _record_from_json(obj: dict, where: str) -> SecurityRecord:
+def _record_from_json(obj: object, where: str) -> SecurityRecord:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: a record must be a JSON object")
     try:
         rid = obj["id"]
-        kind = _KIND_BY_NAME[obj["kind"]]
+        kind = RecordKind(obj["kind"])
         published = iso_date(obj["published"])
         affects = frozenset(_json_field(obj, "affects", list, []))
         refs = frozenset(_json_field(obj, "refs", list, []))
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ParseError(f"{where}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
     if not isinstance(rid, str) or not rid:
         raise ParseError(f"{where}: record id must be a non-empty string")
@@ -392,6 +395,8 @@ def import_releases(path: Union[str, Path]) -> list[Release]:
         raise ParseError(f"{path}: expected a JSON array of releases")
     releases = []
     for i, obj in enumerate(raw):
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}: release #{i}: a release must be a JSON object")
         try:
             releases.append(
                 Release(
@@ -403,7 +408,9 @@ def import_releases(path: Union[str, Path]) -> list[Release]:
                     ),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise ParseError(f"{path}: release #{i}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"{path}: release #{i}: {exc}") from exc
     seen = set()
     for r in releases:

@@ -70,8 +70,8 @@ def classify_transition(prev: FitClass, new: FitClass) -> TransitionKind:
 
 def entropy_at(transitions: Iterable[TransitionKind], beta: float = 1.0) -> float:
     """Instability of one observation step from its pooled transitions."""
-    if not beta >= 1.0:
-        raise ValueError(f"beta must be >= 1, got {beta!r}")
+    if not 1.0 <= beta < float("inf"):
+        raise ValueError(f"beta must be finite and >= 1, got {beta!r}")
     u = s = b = 0
     for tr in transitions:
         if tr is TransitionKind.UNCHANGED:
@@ -89,8 +89,8 @@ def entropy_at(transitions: Iterable[TransitionKind], beta: float = 1.0) -> floa
 
 def quality_at(counts: Sequence[int], omega: float = 1.0) -> float:
     """Fit-success ratio from (n_fit, n_inconclusive, n_notfit) counts."""
-    if not omega >= 1.0:
-        raise ValueError(f"omega must be >= 1, got {omega!r}")
+    if not 1.0 <= omega < float("inf"):
+        raise ValueError(f"omega must be finite and >= 1, got {omega!r}")
     n_fit, n_inconclusive, n_notfit = counts
     if min(n_fit, n_inconclusive, n_notfit) < 0:
         raise ValueError("counts must be non-negative")

@@ -774,12 +774,22 @@ def test_a_repeated_list_value_is_rejected_before_any_file_is_read(tmp_path, cap
 
 
 def test_import_reads_every_input_before_it_writes(world, tmp_path, caplog):
-    bad = tmp_path / "bad_releases.json"
-    bad.write_text('[{"product": 1}]')
+    bad_releases = tmp_path / "bad_releases.json"
+    bad_releases.write_text('[{"product": 1}]')
+    # the compact form, which Python 3.11's fromisoformat would read
+    bad_date = tmp_path / "bad_date.ndjson"
+    bad_date.write_text('{"id": "B1", "kind": "bug", "published": "20050110"}\n')
+    cases = (
+        (("--corpus", world["corpus"], "--releases", bad_releases),
+         "product must be a string, got 1"),
+        (("--corpus", bad_date), f"{bad_date}: line 1: "),
+    )
     out = tmp_path / "imp"
-    assert run_cli("import", "--corpus", world["corpus"], "--releases", bad, "--out", out) == 1
-    assert "product must be a string, got 1" in caplog.text
-    assert not out.exists()
+    for inputs, message in cases:
+        caplog.clear()
+        assert run_cli("import", *inputs, "--out", out) == 1
+        assert message in caplog.text
+        assert not out.exists()
 
 
 def test_a_bad_release_date_is_named_before_any_file_is_written(tmp_path, capsys):
@@ -955,14 +965,19 @@ def test_per_triple_failures_recorded_without_aborting(world, tmp_path, caplog):
 
 
 def test_workers_flag_gives_identical_output(world, tmp_path):
+    # all six models, so every curve and Jacobian kernel runs in a worker;
+    # eight workers is a pool of one per distinct fit
     shared = ("--corpus", world["corpus"], "--releases", world["releases"],
-              "--as-of", world["as_of"], "--datasets", "NVD", "--models", "LN,RE,RQ")
-    for workers in (1, 2):
+              "--as-of", world["as_of"], "--datasets", "NVD")
+    for workers in (1, 2, 8):
         out = tmp_path / f"w{workers}"
         assert run_cli("fit", *shared, "--workers", workers, "--out", out) == 0
-        assert run_cli("track", *shared, "--workers", workers, "--out", out) == 0
-    for name in ("fits.csv", "fit_summary.json", "track.csv"):
-        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
+        assert run_cli("track", *shared, "--start-msr", 21, "--workers", workers,
+                       "--out", out) == 0
+    for workers in (2, 8):
+        for name in ("fits.csv", "fit_summary.json", "track.csv"):
+            assert (tmp_path / "w1" / name).read_bytes() == \
+                (tmp_path / f"w{workers}" / name).read_bytes(), (workers, name)
 
 
 def test_workers_start_no_more_processes_than_distinct_fits(world, tmp_path, monkeypatch):

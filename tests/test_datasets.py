@@ -425,10 +425,20 @@ def _write(path, text):
         (lambda tmp: import_corpus(_write(
             tmp / "c.ndjson", '{"id": "", "kind": "bug", "published": "2005-01-01"}\n')),
          ParseError, "line 1: record id must be a non-empty string"),
+        (lambda tmp: import_corpus(_write(
+            tmp / "c.ndjson", '{"id": "X", "published": "2005-01-01"}\n')),
+         ParseError, "line 1: missing key 'kind'"),
+        (lambda tmp: import_corpus(_write(tmp / "c.ndjson", '["X", "bug", "2005-01-01"]\n')),
+         ParseError, "line 1: a record must be a JSON object"),
         (lambda tmp: import_releases(_write(tmp / "r.json", '{"product": "p"}')),
          ParseError, "expected a JSON array of releases"),
+        (lambda tmp: import_releases(_write(tmp / "r.json", '[{"product": "p", "version": "1"}]')),
+         ParseError, "release #0: missing key 'release_date'"),
+        (lambda tmp: import_releases(_write(tmp / "r.json", '[["p", "1", "2005-01-01"]]')),
+         ParseError, "release #0: a release must be a JSON object"),
     ],
-    ids=["negative-count", "msr-zero", "empty-id", "releases-object"],
+    ids=["negative-count", "msr-zero", "empty-id", "missing-kind", "record-array",
+         "releases-object", "release-without-date", "release-array"],
 )
 def test_each_bad_input_raises_its_error_by_name(tmp_path, call, error, message):
     with pytest.raises(error, match=re.escape(message)):
@@ -437,8 +447,9 @@ def test_each_bad_input_raises_its_error_by_name(tmp_path, call, error, message)
 
 def test_import_empty_file(tmp_path):
     path = tmp_path / "corpus.ndjson"
-    path.write_text("")
-    assert len(import_corpus(path)) == 0
+    for text in ("", "\n \t\n\n"):  # blank and whitespace-only lines are skipped
+        path.write_text(text)
+        assert len(import_corpus(path)) == 0
 
 
 def test_import_duplicate_id(tmp_path):
@@ -456,7 +467,7 @@ def test_import_parse_error_names_line(tmp_path):
     with pytest.raises(ParseError, match="line 2"):
         import_corpus(path)
     path.write_text(json.dumps(good) + "\n" + json.dumps({"id": "Y", "kind": "nope", "published": "2005-01-01"}) + "\n")
-    with pytest.raises(ParseError, match="line 2"):
+    with pytest.raises(ParseError, match="line 2: 'nope' is not a valid RecordKind"):
         import_corpus(path)
     # Python 3.11's fromisoformat reads the compact and week forms too;
     # 3.10 rejects them with its own message

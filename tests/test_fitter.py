@@ -230,3 +230,30 @@ def test_each_grid_node_is_one_launch(launched):
             assert launched == sorted(set(launched)), (model, grid)
             for z0 in launched:
                 assert all(lo <= v <= hi for v, (lo, hi) in zip(z0, box)), (model, z0)
+
+
+def test_a_singular_system_raises_the_damping_until_the_launch_ends(monkeypatch):
+    # two equal columns of 1e150: J'J is 3e300 in every entry, so adding
+    # any damping up to 1e14 leaves it singular in floating point
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            solves.append("singular")
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    r = np.array([1.0, -2.0, 3.0])
+    x0 = (0.5, 0.5)
+    sse, converged, iterations, state = fitter._levenberg_marquardt(
+        lambda x: (r, float(r @ r), x),
+        lambda x, state: np.full((3, 2), 1e150),
+        x0, np.zeros(2), np.ones(2),
+    )
+    # 1e-3, 1e-2, ..., 1e14: one failed solve per damping, then no step
+    assert solves == ["singular"] * 18
+    assert (sse, converged, iterations) == (14.0, False, 1)
+    assert tuple(state[2]) == x0

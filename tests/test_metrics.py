@@ -52,8 +52,8 @@ def test_entropy_direct_substitution():
 def test_entropy_empty_and_bad_beta():
     with pytest.raises(EmptyStepError):
         entropy_at([], beta=1.0)
-    for beta in (0.5, math.nan):
-        with pytest.raises(ValueError):
+    for beta in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta must be finite and >= 1"):
             entropy_at([U], beta=beta)
 
 
@@ -102,8 +102,8 @@ def test_quality_errors():
         quality_at((0, 0, 0), omega=1.0)
     with pytest.raises(ValueError):
         quality_at((1, -1, 0), omega=1.0)
-    for omega in (0.9, math.nan):
-        with pytest.raises(ValueError):
+    for omega in (0.9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="omega must be finite and >= 1"):
             quality_at((1, 1, 1), omega=omega)
 
 
