@@ -219,7 +219,7 @@ def _read_rows(
                 if lines or not line.startswith("#"):
                     lines.append(line)
                 elif line.startswith("# "):
-                    key, _, value = line[2:].rstrip("\n").partition(": ")
+                    key, _, value = line[2:].rstrip("\r\n").partition(": ")
                     header[key] = value
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None

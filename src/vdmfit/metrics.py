@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
 from . import DEFAULT_MULTISTART, FitClass
 from .datasets import ObservationSeries
@@ -84,6 +84,8 @@ def entropy_at(transitions: Iterable[TransitionKind], beta: float = 1.0) -> floa
     if total == 0:
         raise EmptyStepError("no transitions at this step")
     weighted = s + beta * b
+    if weighted == float("inf"):  # beta * b overflowed: inf / inf, whose limit is 1
+        return 1.0
     return weighted / (u + weighted)
 
 
@@ -132,7 +134,7 @@ def _series_with_medians(points: list[tuple[int, float]]) -> MetricSeries:
     )
 
 
-StateMatrix = Mapping[str, Mapping[int, FitClass]]
+StateMatrix = Mapping[Hashable, Mapping[int, FitClass]]  # curve key -> msr -> state
 
 
 def aggregate_entropy(per_curve_states: StateMatrix, beta: float = 1.0) -> MetricSeries:

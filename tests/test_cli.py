@@ -279,6 +279,19 @@ def test_metric_metadata_comes_from_the_track_file(world, tmp_path):
     assert run_cli("entropy", "--track", other / "track.csv", "--out", other) == 0
     other_hash = read_header(other / "entropy_beta1.csv")["config_hash"]
     assert other_hash == read_header(other / "track.csv")["config_hash"] != track_hash
+    # a track saved with CRLF line ends, by a Windows editor, say, gives
+    # the same metadata and no \r in any output
+    crlf = tmp_path / "crlf"
+    crlf.mkdir()
+    (crlf / "track.csv").write_bytes((out / "track.csv").read_bytes().replace(b"\n", b"\r\n"))
+    assert run_cli("entropy", "--track", crlf / "track.csv", "--out", crlf) == 0
+    assert run_cli("compare", "--series", crlf / "entropy_beta1.csv", "--out", crlf) == 0
+    for summary in ("entropy_summary.json", "compare.json"):
+        meta = read_json(crlf / summary)["meta"]
+        assert (meta["start_msr"], meta["as_of"], meta["config_hash"]) == (
+            11, world["as_of"], track_hash
+        )
+    assert [p.name for p in crlf.iterdir() if b"\r" in p.read_bytes()] == ["track.csv"]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -713,7 +726,7 @@ def test_errors_exit_nonzero(tmp_path, caplog):
     assert "baseline group 'c' not found in ['a', 'b']" in caplog.text
 
 
-_TRACK_HEADER = "product,version,dataset,model,msr,status,classification,p_value,chi2,valid\n"
+TRACK_HEADER = "product,version,dataset,model,msr,status,classification,p_value,chi2,valid\n"
 _NO_INPUTS = ("--corpus", "missing.ndjson", "--releases", "missing.json")
 
 
@@ -729,15 +742,17 @@ _NO_INPUTS = ("--corpus", "missing.ndjson", "--releases", "missing.json")
          "run.json: unknown config keys ['modles']"),
         (("fit",), {}, "both --corpus and --releases are required for this command"),
         (("quality", "--track", "t.csv"),
-         {"t.csv": _TRACK_HEADER + "p,1,NVD,LN,6,maybe,GoodFit,0.5,1.0,True\n"},
+         {"t.csv": TRACK_HEADER + "p,1,NVD,LN,6,maybe,GoodFit,0.5,1.0,True\n"},
          "t.csv: row 1: status must be ok or error, got 'maybe'"),
         (("entropy", "--track", "t.csv"),
-         {"t.csv": _TRACK_HEADER + "p,1,NVD,LN,6,error,,,,\np,1,NVD,LN,7,error,,,,\n"},
+         {"t.csv": TRACK_HEADER + "p,1,NVD,LN,6,error,,,,\np,1,NVD,LN,7,error,,,,\n"},
          "no usable state sequences (is the track data empty?)"),
         (("import",), {}, "--corpus is required"),
+        (("fit", *_NO_INPUTS, "--models", "LN,FOO"), {},
+         "unknown model id 'FOO'; expected one of ('AML', 'AT', 'LN', 'LP', 'RE', 'RQ')"),
     ],
     ids=["datasets-empty", "start-msr", "workers", "config-array", "config-key",
-         "no-inputs", "track-status", "track-all-error", "import-no-corpus"],
+         "no-inputs", "track-status", "track-all-error", "import-no-corpus", "unknown-model"],
 )
 def test_each_input_error_exits_1_with_its_error_line(tmp_path, caplog, monkeypatch,
                                                        argv, files, message):
@@ -841,9 +856,6 @@ def test_a_product_starting_with_a_hash_is_data_not_metadata(tmp_path):
         pooled[product] = {p.name: p.read_bytes() for p in written}
     assert len(pooled["fox"]) == 6
     assert pooled["#fox"] == pooled["fox"]
-
-
-TRACK_HEADER = "product,version,dataset,model,msr,status,classification,p_value,chi2,valid\n"
 
 
 def test_a_curve_is_its_four_columns_whatever_their_text(tmp_path):
@@ -1016,23 +1028,28 @@ def test_workers_start_no_more_processes_than_distinct_fits(world, tmp_path, mon
 
 
 def test_weights_name_their_files_in_shortest_float_form(tmp_path):
+    # two curves jump GoodFit -> NotFit at MSR 7: at beta 1e308, beta * b
+    # overflows to inf, and the step reads its limit, 1
     track = tmp_path / "track.csv"
-    track.write_text(
-        "product,version,dataset,model,msr,status,classification,p_value,chi2,valid\n"
-        "p,1,NVD,LN,6,ok,GoodFit,0.5,1.0,True\n"
-        "p,1,NVD,LN,7,ok,NotFit,0.5,1.0,True\n"
-    )
+    track.write_text(TRACK_HEADER + "".join(
+        f"p,{version},NVD,LN,{msr},ok,{cls},0.5,1.0,True\n"
+        for version in ("1", "2") for msr, cls in ((6, "GoodFit"), (7, "NotFit"))
+    ))
     out = tmp_path / "out"
-    assert run_cli("entropy", "--track", track, "--beta", "1,2.5,1e300", "--out", out) == 0
+    assert run_cli("entropy", "--track", track, "--beta", "1,2.5,1e300,1e308", "--out", out) == 0
     assert run_cli("quality", "--track", track, "--omega", "2,1e16", "--out", out) == 0
     assert sorted(p.name for p in out.glob("*_*[0-9].csv")) == [
-        "entropy_beta1.csv", "entropy_beta1e+300.csv", "entropy_beta2.5.csv",
-        "quality_omega1e+16.csv", "quality_omega2.csv",
+        "entropy_beta1.csv", "entropy_beta1e+300.csv", "entropy_beta1e+308.csv",
+        "entropy_beta2.5.csv", "quality_omega1e+16.csv", "quality_omega2.csv",
     ]
     assert read_header(out / "entropy_beta1e+300.csv")["beta"] == "1e+300"
     summary = read_json(out / "entropy_summary.json")
-    assert sorted(summary["medians_by_beta"]) == ["1", "1e+300", "2.5"]
-    assert float(read_csv(out / "entropy_beta1e+300.csv")[0]["value"]) == 1.0
+    assert sorted(summary["medians_by_beta"]) == ["1", "1e+300", "1e+308", "2.5"]
+    for beta in ("1e+300", "1e+308"):
+        assert read_csv(out / f"entropy_beta{beta}.csv") == [
+            {"group": "NVD", "msr": "7", "value": "1.0"}
+        ]
+        assert summary["medians_by_beta"][beta]["NVD"]["grand_median"] == 1.0
 
 
 def test_a_one_month_track_gives_quality_points_and_skips_entropy(world, tmp_path, caplog):

@@ -4,14 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from vdmfit import fitter
+from vdmfit import fitter, models
 from vdmfit.datasets import DatasetKind, ObservationSeries
 from vdmfit.fitter import (
     InsufficientDataError,
     fit,
     initial_guesses,
 )
-from vdmfit.models import MODEL_IDS, evaluate, spec
+from vdmfit.models import MODEL_IDS, DomainError, evaluate, spec
 from vdmfit.simulate import NoiseKind, NoiseSpec, generate
 
 from oracles import exact_series, grid_search_2d, grid_search_3d, sum_squared_error
@@ -257,3 +257,23 @@ def test_a_singular_system_raises_the_damping_until_the_launch_ends(monkeypatch)
     assert solves == ["singular"] * 18
     assert (sse, converged, iterations) == (14.0, False, 1)
     assert tuple(state[2]) == x0
+
+
+def test_a_trial_the_curve_rejects_is_a_step_the_launch_does_not_take(monkeypatch):
+    # RE is evaluable past every rate; here it raises DomainError past 0.08,
+    # as AML and LP do off their domain, and each such trial reads SSE inf
+    rejected = []
+    evaluate_curve = models.evaluate
+
+    def bounded(model_id, params, t):
+        if params[-1] > 0.08:
+            rejected.append(params[-1])
+            raise DomainError(f"rate {params[-1]} past 0.08")
+        return evaluate_curve(model_id, params, t)
+
+    monkeypatch.setattr(models, "evaluate", bounded)
+    series = exact_series("RE", (100.0, 0.05), 24)
+    outcome = fit(series, "RE")
+    assert rejected  # the launch at rate 1.0, at least
+    assert math.isfinite(outcome.sse)
+    assert outcome.params.values == pytest.approx((100.0, 0.05), rel=1e-6)

@@ -15,9 +15,8 @@ from vdmfit.gof import (
 from vdmfit.gof import test_fit as run_gof_test
 from vdmfit.models import ParamVector
 from vdmfit.simulate import NoiseKind, NoiseSpec, generate
-from vdmfit.stats import chi_square_survival
 
-from oracles import exact_series, load_chi2_oracle
+from oracles import chi2_survival_quadrature, exact_series
 
 
 def _series(points):
@@ -53,42 +52,25 @@ def test_chi_square_invalid_expected():
 
 
 def test_p_value_of_zero_statistic():
+    # an exact LN curve gives chi2 = 0, and test_fit reads p = 1 at every dof
+    outcome = FitOutcome(ParamVector("LN", (2.0, 3.0)), 0.0, True, 0)
     for dof in range(1, 31):
-        assert chi_square_survival(0.0, dof) == 1.0
-
-
-def test_p_value_spot_critical_value():
-    assert chi_square_survival(3.841, 1) == pytest.approx(0.050, abs=0.001)
-
-
-def test_p_value_matches_frozen_quadrature_oracle():
-    for entry in load_chi2_oracle():
-        assert chi_square_survival(entry["chi2"], entry["dof"]) == pytest.approx(
-            entry["p"], abs=1e-6
-        ), entry
+        series = _series([(t, 2.0 * t + 3.0) for t in range(1, dof + 3)])
+        result = run_gof_test(series, outcome)
+        assert (result.chi_square, result.dof) == (0.0, dof)
+        assert result.p_value == 1.0
+        assert result.classification is FitClass.GOOD_FIT
 
 
 def test_p_value_spot_against_live_quadrature():
-    from oracles import chi2_survival_quadrature
-
-    assert chi_square_survival(30.0, 10) == pytest.approx(
-        chi2_survival_quadrature(30.0, 10), abs=1e-6
-    )
-
-
-def test_p_value_strictly_decreasing():
-    for dof in (1, 4, 10, 30):
-        xs = [0.01 * 1.5 ** k for k in range(30)]
-        ps = [chi_square_survival(x, dof) for x in xs]
-        assert all(b <= a for a, b in zip(ps, ps[1:]))
-        # strictly decreasing wherever double precision can resolve the tail
-        resolvable = [
-            (a, b)
-            for (a, b) in zip(ps, ps[1:])
-            if 1e-14 < b and a < 1.0 - 1e-14
-        ]
-        assert resolvable
-        assert all(b < a for a, b in resolvable)
+    # 12 points around a flat curve at 10, three of them 10 off: chi2 = 30, dof = 10
+    counts = [0.0] + [10.0] * 9 + [20.0, 20.0]
+    series = _series(list(zip(range(1, 13), counts)))
+    outcome = FitOutcome(ParamVector("LN", (0.0, 10.0)), 0.0, True, 0)
+    result = run_gof_test(series, outcome)
+    assert (result.chi_square, result.dof) == (30.0, 10)
+    assert result.p_value == pytest.approx(chi2_survival_quadrature(30.0, 10), abs=1e-6)
+    assert result.classification is FitClass.NOT_FIT
 
 
 def test_classification_bands():

@@ -40,6 +40,9 @@ def test_entropy_extremes():
     assert entropy_at([U, U, U], beta=2.0) == 0.0
     assert entropy_at([S, B, S], beta=1.0) == 1.0
     assert entropy_at([B], beta=7.0) == 1.0
+    # beta * b overflows to inf: the step reads its limit, not inf / inf
+    assert entropy_at([B, B], beta=1e308) == 1.0
+    assert entropy_at([U, B, B], beta=1e308) == 1.0
 
 
 def test_entropy_direct_substitution():

@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -132,6 +131,7 @@ def test_trivial_gradients():
     assert gradient("RQ", (1.0, 1.0), 2.0) == pytest.approx([2.0, 2.0])
 
 
+# the draws of criterion 05's 1,000 gradient checks in test_acceptance.py
 def _draw_params(rng, mid):
     if mid == "AML":
         b = rng.uniform(20.0, 200.0)
@@ -162,14 +162,6 @@ def assert_gradient_matches_fd(mid, params, t, rel_tol=1e-6):
         if abs(an) < 1e-9 and abs(num) < 1e-9:
             continue
         assert abs(num - an) / max(abs(an), abs(num)) < rel_tol, (mid, params, t)
-
-
-def test_gradient_matches_finite_differences_randomized_sweep():
-    rng = random.Random(20120417)
-    for _ in range(40):
-        for mid in MODEL_IDS:
-            params = _draw_params(rng, mid)
-            assert_gradient_matches_fd(mid, params, _draw_t(rng))
 
 
 def test_aml_spec_point_gradient():
