@@ -7,8 +7,8 @@ config and inputs: no timestamps, sorted keys everywhere, and every
 output file carries a metadata block with the config hash, the dof
 convention and the beta/omega settings, so reruns are byte-identical.
 
-``fit`` and ``track`` share one curve loop and one row builder: ``fit``
-is the track of the last month, and equal curves are fitted once per
+``fit`` is the track of the last month: both write fits.csv from one
+curve loop and one row builder, and equal curves are fitted once per
 run. The metric commands carry ``as_of``, ``start_msr`` and
 ``config_hash`` over from the file they read.
 """
@@ -168,6 +168,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     data.update({k: [float(w) for w in data[k]] for k in ("beta", "omega") if k in data})
     cfg = RunConfig(**data)
     cfg.validate()
+    # and so are two orders of one list: one header and one hash, whatever order was given
+    cfg.models = [m for m in MODEL_IDS if m in cfg.models]
+    cfg.datasets = [d for d in _ALL_DATASETS if d in cfg.datasets]
+    cfg.beta, cfg.omega = sorted(cfg.beta), sorted(cfg.omega)
     return cfg
 
 
@@ -332,7 +336,7 @@ def _fit_curves(cfg: RunConfig, start_msr: int | None) -> tuple[list, list[dict]
     payloads = [
         (s, m, s.last_msr if start_msr is None else start_msr, cfg.multistart)
         for s in sorted(series_list, key=ObservationSeries.key)
-        for m in sorted(cfg.models)
+        for m in cfg.models
     ]
     # a FitResult holds no curve identity, so equal curves can share one
     jobs: dict[tuple, tuple] = {}
@@ -386,44 +390,45 @@ def _result_row(series: ObservationSeries, model_id: str, result: FitResult | No
     }
 
 
-def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
-    from .models import spec
-    curves, skipped, meta = _fit_curves(cfg, None)
-    rows = []
-    summary: dict[str, dict[str, int]] = {
-        m: {c.value: 0 for c in FitClass} | {"errors": 0} for m in cfg.models
-    }
-    # one month was tracked, last_msr: the whole series
-    for series, model_id, [(_, result)] in curves:
+def _fit_and_write(cfg: RunConfig, start_msr: int | None) -> tuple[list[dict], dict]:
+    """Fit every curve from ``start_msr`` on (None: the last month), write
+    fits.csv and fit_summary.json from each curve's last month (an error row
+    where it has no result), and return every month's track rows and the metadata."""
+    curves, skipped, meta = _fit_curves(cfg, start_msr)
+    fit_rows, track_rows = [], []
+    summary = {m: dict.fromkeys([c.value for c in FitClass] + ["errors"], 0) for m in cfg.models}
+    for series, model_id, months in curves:
+        track_rows += (_result_row(series, model_id, r) | {"msr": msr} for msr, r in months)
+        result = months[-1][1] if months else None
         row = _result_row(series, model_id, result)
         if result is None:
             summary[model_id]["errors"] += 1
         else:
             row.update(
-                param_names=";".join(spec(model_id).param_names),
+                param_names=";".join(result.outcome.params.as_dict()),
                 params=_param_csv(result.outcome.params.values),
                 dof=result.dof,
             )
             summary[model_id][result.classification.value] += 1
-        rows.append(row)
+        fit_rows.append(row)
 
     out = _out_dir(cfg)
-    _write_csv(out / "fits.csv", FIT_FIELDS, rows, meta)
+    _write_csv(out / "fits.csv", FIT_FIELDS, fit_rows, meta)
     _write_json(
         out / "fit_summary.json",
         {"classification_counts_by_model": summary, "skipped_series": skipped},
         meta,
     )
+    return track_rows, meta
+
+
+def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _fit_and_write(cfg, None)
     return 0
 
 
 def cmd_track(cfg: RunConfig, args: argparse.Namespace) -> int:
-    curves, _, meta = _fit_curves(cfg, cfg.start_msr)
-    rows = [
-        _result_row(series, model_id, result) | {"msr": msr}
-        for series, model_id, months in curves
-        for msr, result in months
-    ]
+    rows, meta = _fit_and_write(cfg, cfg.start_msr)
     _write_csv(_out_dir(cfg) / "track.csv", TRACK_FIELDS, rows, meta)
     return 0
 

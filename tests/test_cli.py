@@ -294,17 +294,35 @@ def test_metric_metadata_comes_from_the_track_file(world, tmp_path):
     assert [p.name for p in crlf.iterdir() if b"\r" in p.read_bytes()] == ["track.csv"]
 
 
+def _meta_and_data(path):
+    """The metadata of a CSV or JSON output file, and the rest of it: the
+    CSV lines after the ``#`` lines, or the JSON object without ``meta``."""
+    if path.suffix == ".json":
+        doc = read_json(path)
+        return doc.pop("meta"), doc
+    lines = path.read_text().splitlines()
+    return read_header(path), [line for line in lines if not line.startswith("#")]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_fits_are_the_last_month_of_the_track(world, tmp_path, workers):
     shared = ("--corpus", world["corpus"], "--releases", world["releases"],
               "--as-of", world["as_of"], "--datasets", "NVD,NVD.Bug", "--workers", workers)
-    assert run_cli("fit", *shared, "--out", tmp_path) == 0
-    assert run_cli("track", *shared, "--start-msr", "22", "--out", tmp_path) == 0
+    assert run_cli("fit", *shared, "--out", tmp_path / "fit") == 0
+    assert run_cli("track", *shared, "--start-msr", "22", "--out", tmp_path / "track") == 0
+    # track writes fit's rows and summary; only its header says it read --start-msr
+    for name in ("fits.csv", "fit_summary.json"):
+        fit_meta, fit_data = _meta_and_data(tmp_path / "fit" / name)
+        track_meta, track_data = _meta_and_data(tmp_path / "track" / name)
+        assert track_data == fit_data, name
+        assert sorted(fit_meta) == sorted(track_meta)
+        assert {k for k in fit_meta if fit_meta[k] != track_meta[k]} == {"start_msr", "config_hash"}
+        assert (str(fit_meta["start_msr"]), str(track_meta["start_msr"])) == ("6", "22")
     columns = ("classification", "p_value", "chi2", "valid", "converged", "sse")
-    fits = read_csv(tmp_path / "fits.csv")
+    fits = read_csv(tmp_path / "fit" / "fits.csv")
     last = {
         (r["version"], r["dataset"], r["model"]): r
-        for r in read_csv(tmp_path / "track.csv")
+        for r in read_csv(tmp_path / "track" / "track.csv")
         if r["msr"] == "24"
     }
     assert len(fits) == len(last) == 12
@@ -312,6 +330,28 @@ def test_fits_are_the_last_month_of_the_track(world, tmp_path, workers):
         assert row["status"] == "ok"
         tracked = last[(row["version"], row["dataset"], row["model"])]
         assert [row[c] for c in columns] == [tracked[c] for c in columns]
+
+
+def test_a_curve_the_track_never_reaches_is_an_error_row_of_fits(world, tmp_path, caplog):
+    # the world's series end at MSR 24: from MSR 25 no curve has a month
+    assert run_cli("track", "--corpus", world["corpus"], "--releases", world["releases"],
+                   "--as-of", world["as_of"], "--datasets", "NVD,NVD.Bug", "--models", "LN,RE",
+                   "--start-msr", "25", "--out", tmp_path) == 0
+    assert read_csv(tmp_path / "track.csv") == []
+    rows = read_csv(tmp_path / "fits.csv")
+    assert [(r["dataset"], r["model"], r["status"]) for r in rows] == [
+        (kind, model, "error") for kind in ("NVD", "NVD.Bug") for model in ("LN", "RE")
+    ]
+    assert all(r["classification"] == r["params"] == r["sse"] == "" for r in rows)
+    counts = read_json(tmp_path / "fit_summary.json")["classification_counts_by_model"]
+    assert counts == {
+        model: {"GoodFit": 0, "Inconclusive": 0, "NotFit": 0, "errors": 2} for model in ("LN", "RE")
+    }
+    version = read_json(world["releases"])[0]["version"]
+    assert sorted(m for m in caplog.messages if m.startswith("fit failed for ")) == [
+        f"fit failed for synthetic {version} {kind} {model}: series ends at MSR 24, before MSR 25"
+        for kind in ("NVD", "NVD.Bug") for model in ("LN", "RE")
+    ]
 
 
 def _counting_rolling_gof(monkeypatch, fail_model=None, error=ValueError):
@@ -653,6 +693,24 @@ def test_config_file_with_flag_override(world, tmp_path, caplog):
         typo.write_text(json.dumps({key: value}))
         assert run_cli("fit", "--config", typo) == 1
         assert f"{typo}: config key '{key}' must be" in caplog.text
+
+
+def test_list_settings_in_any_order_are_one_analysis(world, tmp_path):
+    # models, kinds and weights given in another order: the same bytes, hash included
+    inputs = ("--corpus", world["corpus"], "--releases", world["releases"],
+              "--as-of", world["as_of"], "--start-msr", "22")
+    for name, models, kinds, weights in (("given", "LN,RE", "NVD,NVD.Bug", "1,2"),
+                                         ("reordered", "RE,LN", "NVD.Bug,NVD", "2,1")):
+        out = tmp_path / name
+        assert run_cli("track", *inputs, "--models", models, "--datasets", kinds,
+                       "--out", out) == 0
+        assert run_cli("entropy", "--track", out / "track.csv", "--beta", weights,
+                       "--out", out) == 0
+        assert run_cli("quality", "--track", out / "track.csv", "--omega", weights,
+                       "--out", out) == 0
+    given = {p.name: p.read_bytes() for p in (tmp_path / "given").iterdir()}
+    assert len(given) == 9
+    assert given == {p.name: p.read_bytes() for p in (tmp_path / "reordered").iterdir()}
 
 
 def test_errors_exit_nonzero(tmp_path, caplog):
@@ -1180,13 +1238,80 @@ def test_summaries_are_strict_json_with_null_for_an_empty_half(world, tmp_path):
     assert all(m["first_half_median"] == m["grand_median"] for m in medians.values())
 
 
+def _child_env(**settings: str) -> dict[str, str]:
+    """This process's environment with src/ first on the path, plus
+    ``settings``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]),
+        **settings)
+
+
 def _python(*argv: str) -> subprocess.CompletedProcess:
     """A fresh Python process run with ``argv``, with src/ first on its
     path."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *argv], env=_child_env(), capture_output=True,
+                          text=True)
+
+
+def _kernel_sets() -> dict[str, dict[str, str]]:
+    """The settings that give a fresh process other numpy or OpenBLAS
+    kernels: numpy's runtime dispatch off for every target this CPU has,
+    or OpenBLAS's generic x86-64 core. A setting with nothing to act on
+    (no such target, another BLAS) leaves the default kernels."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return {
+        "no_dispatch": {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)},
+        "generic_blas": {"OPENBLAS_CORETYPE": "Prescott"},
+    }
+
+
+def test_verdicts_and_metrics_do_not_depend_on_the_cpu_kernels(tmp_path):
+    # the last bits of an SSE, a chi2 or a p-value may move with the kernels;
+    # the verdicts and every metric and rank test built on them may not
+    world = tmp_path / "world"
+    assert run_cli("simulate", "--model", "AML", "--params", "0.004,120,1", "--horizon", 18,
+                   "--noise", "multiplicative", "--magnitude", "0.03", "--seed", 7,
+                   "--out", world, "--emit-corpus") == 0
+    track = ["track", "--corpus", str(world / "corpus.ndjson"),
+             "--releases", str(world / "releases.json"),
+             "--as-of", read_json(world / "manifest.json")["as_of"]]
+    # only track loads numpy: it runs once per kernel set, the others alongside this one
+    children = {
+        name: subprocess.Popen(
+            [sys.executable, "-m", "vdmfit.cli", *track, "--out", str(tmp_path / name)],
+            env=_child_env(**settings), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True,
+        )
+        for name, settings in _kernel_sets().items()
+    }
+    assert run_cli(*track, "--out", tmp_path / "default") == 0
+    for child in children.values():
+        stderr = child.communicate()[1]
+        assert child.returncode == 0, stderr
+    sets = [tmp_path / name for name in ("default", *children)]
+    for out in sets:
+        for argv in (("entropy", "--track", out / "track.csv", "--out", out),
+                     ("quality", "--track", out / "track.csv", "--out", out),
+                     ("compare", "--series", out / "entropy_beta1.csv", "--out", out / "entropy"),
+                     ("compare", "--series", out / "quality_omega1.csv", "--out", out / "quality")):
+            assert run_cli(*argv) == 0
+    verdicts = {"fits.csv": ("status", "classification", "valid", "dof"),
+                "track.csv": ("status", "classification", "valid")}
+
+    def outputs(out):
+        files = {p.relative_to(out).as_posix(): p for p in out.rglob("*") if p.is_file()}
+        return {name: [[row[c] for c in verdicts[name]] for row in read_csv(path)]
+                if name in verdicts else path.read_bytes() for name, path in files.items()}
+
+    default = outputs(sets[0])
+    assert len(default) == 11 and len(default["track.csv"]) == 6 * 5 * 13
+    for out in sets[1:]:
+        assert outputs(out) == default, out.name
 
 
 def _probe_output(probe: str) -> str:

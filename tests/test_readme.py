@@ -43,8 +43,8 @@ def test_complete_session_block_runs(tmp_path, monkeypatch):
     # the world ends where the session's cutoff says it does
     as_of = {argv[argv.index("--as-of") + 1] for argv in commands if "--as-of" in argv}
     assert as_of == {written["world/manifest.json"]["as_of"]}
-    # the paper's conclusion: AML fits better than LN and than RE
+    # the paper's conclusion: AML fits better than each of the other five models
     tests = written["results/quality_compare/compare.json"]["pairwise_mann_whitney"]
     assert {(t["a"], t["b"]): t["null_hypothesis"] for t in tests} == {
-        ("AML", "LN"): "reject", ("AML", "RE"): "reject"
+        ("AML", other): "reject" for other in ("AT", "LN", "LP", "RE", "RQ")
     }
