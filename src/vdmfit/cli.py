@@ -3,9 +3,11 @@ simulate.
 
 Data goes to files (CSV for series and matrices, JSON for summaries);
 progress and warnings go to stderr. Output is deterministic for a fixed
-config and inputs: no timestamps, sorted keys everywhere, and every
-output file carries a metadata block with the config hash, the dof
-convention and the beta/omega settings, so reruns are byte-identical.
+config and inputs: no timestamps and sorted keys everywhere, so reruns
+are byte-identical. Every output file carries a metadata block: the tool,
+the dof convention, every setting the command's parser defines but file
+locations and ``--workers``, and ``config_hash``, the hash of those
+settings.
 
 ``fit`` is the track of the last month: both write fits.csv from one
 curve loop and one row builder, and equal curves are fitted once per
@@ -24,7 +26,8 @@ import math
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -74,6 +77,8 @@ class RunConfig:
     workers: int = 1
     multistart: int = DEFAULT_MULTISTART
     as_of: str | None = None
+    # what the output metadata records, which build_config derives; no config key sets it
+    settings: dict = field(default_factory=dict, init=False, repr=False)
 
     def validate(self) -> None:
         if not self.models:
@@ -86,49 +91,26 @@ class RunConfig:
                 spec(m)
         for d in self.datasets:
             DatasetKind(d)
-        if not self.beta or not all(math.isfinite(b) and b >= 1.0 for b in self.beta):
-            raise ValueError("beta weights must be finite and >= 1")
-        if not self.omega or not all(math.isfinite(w) and w >= 1.0 for w in self.omega):
-            raise ValueError("omega weights must be finite and >= 1")
+        for name in ("beta", "omega"):
+            weights = getattr(self, name)
+            if not weights or not all(math.isfinite(w) and w >= 1.0 for w in weights):
+                raise ValueError(f"{name} weights must be finite and >= 1")
         for name in ("models", "datasets", "beta", "omega"):
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat a value, got {values}")
-        if self.start_msr < 1:
-            raise ValueError("start_msr must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.multistart < 1:
-            raise ValueError("multistart must be >= 1")
+        for name in ("start_msr", "workers", "multistart"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.as_of:
             try:
                 iso_date(self.as_of)
             except ValueError:
                 raise ValueError(f"as_of must be a date YYYY-MM-DD, got {self.as_of!r}") from None
 
-    def config_hash(self) -> str:
-        # hash the analysis parameters, not file locations or scheduling:
-        # reruns of the same analysis must produce identical bytes even
-        # from different directories or worker counts
-        knobs = asdict(self)
-        for volatile in ("corpus", "releases", "out", "workers"):
-            knobs.pop(volatile, None)
-        blob = json.dumps(knobs, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
 
-    def metadata(self) -> dict:
-        return {
-            "tool": f"vdmfit {__version__}",
-            "config_hash": self.config_hash(),
-            "dof_convention": DOF_CONVENTION,
-            "beta": json.dumps(self.beta),
-            "omega": json.dumps(self.omega),
-            "seed": self.seed,
-            "start_msr": self.start_msr,
-        }
-
-
-_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}  # strings: annotations are postponed
+# the config keys; the types are strings, since annotations are postponed
+_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig) if f.init}
 # the JSON values a config file may give a RunConfig field of each type
 _JSON_SCALARS = {"str": str, "str | None": (str, type(None)), "int": int, "float": (int, float)}
 
@@ -172,7 +154,34 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg.models = [m for m in MODEL_IDS if m in cfg.models]
     cfg.datasets = [d for d in _ALL_DATASETS if d in cfg.datasets]
     cfg.beta, cfg.omega = sorted(cfg.beta), sorted(cfg.omega)
+    # the header records every setting the command's parser defines, resolved,
+    # but not file locations or scheduling: reruns of one analysis from other
+    # directories or at other worker counts write the same bytes
+    cfg.settings = {
+        key: _header_value(getattr(cfg, key) if key in _CONFIG_TYPES else value)
+        for key, value in vars(args).items() if key not in _UNRECORDED
+    }
     return cfg
+
+
+# the parser's own entries, file locations and scheduling
+_UNRECORDED = {"command", "run", "config", "out", "corpus", "releases", "track", "series",
+               "workers"}
+
+
+def _header_value(value: object) -> object:
+    """A setting as the header gives it: a list as JSON, a date as YYYY-MM-DD."""
+    if isinstance(value, list):
+        return json.dumps(value)
+    return value.isoformat() if isinstance(value, date) else value
+
+
+def _metadata(settings: Mapping[str, object]) -> dict:
+    """The metadata of an output file: ``settings``, the tool, the dof
+    convention and ``config_hash``, the hash of ``settings``."""
+    digest = hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()[:16]
+    return {**settings, "tool": f"vdmfit {__version__}", "dof_convention": DOF_CONVENTION,
+            "config_hash": digest}
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -233,7 +242,7 @@ def _read_rows(
     except csv.Error as exc:  # a field over the csv field limit, say
         raise ValueError(f"{path}: row {len(rows) + 1}: {exc}") from None
     try:
-        meta = cfg.metadata() | {
+        meta = _metadata(cfg.settings) | {
             key: parse_value(header[key])
             for key, parse_value in (("as_of", str), ("start_msr", int), ("config_hash", str))
             if key in header
@@ -297,11 +306,7 @@ def _load_series(cfg: RunConfig) -> tuple[list[ObservationSeries], list[dict], d
     )
     for failure in failures:
         log.warning("skipping %(product)s %(version)s %(dataset)s: %(error)s", failure)
-    return series_list, failures, cfg.metadata() | {"as_of": as_of.isoformat()}
-
-
-def _param_csv(values: Sequence[float]) -> str:
-    return ";".join(repr(v) for v in values)
+    return series_list, failures, _metadata(cfg.settings | {"as_of": as_of.isoformat()})
 
 
 def _track_job(payload: tuple[ObservationSeries, str, int, int]):
@@ -406,7 +411,7 @@ def _fit_and_write(cfg: RunConfig, start_msr: int | None) -> tuple[list[dict], d
         else:
             row.update(
                 param_names=";".join(result.outcome.params.as_dict()),
-                params=_param_csv(result.outcome.params.values),
+                params=";".join(repr(v) for v in result.outcome.params.values),
                 dof=result.dof,
             )
             summary[model_id][result.classification.value] += 1
@@ -462,12 +467,10 @@ def _fmt_weight(w: float) -> str:
 
 
 def _cmd_metric(
-    cfg: RunConfig, args: argparse.Namespace, which: str, default_group_by: str,
-    weight_name: str, aggregate: Callable,
+    cfg: RunConfig, args: argparse.Namespace, which: str, weight_name: str, aggregate: Callable,
 ) -> int:
     meta, states = _read_rows(cfg, args.track, _STATE_COLUMNS, _track_state)
-    group_by = args.group_by or default_group_by
-    group_index = _CURVE_COLUMNS.index(group_by)
+    group_index = _CURVE_COLUMNS.index(args.group_by)
     # group -> curve -> msr -> state; months without a state are left out
     groups: dict[str, dict[tuple[str, ...], dict[int, FitClass]]] = {}
     seen = set()
@@ -498,13 +501,13 @@ def _cmd_metric(
         ]
         _write_csv(
             out / f"{which}_{weight_name}{name}.csv", ("group", "msr", "value"), rows,
-            meta | {"group_by": group_by, weight_name: name},
+            meta | {weight_name: name},
         )
         if at_w:
             summary[name] = {g: {k: getattr(s, k) for k in _MEDIANS} for g, s in at_w.items()}
     _write_json(
         out / f"{which}_summary.json",
-        {f"medians_by_{weight_name}": summary, "group_by": group_by},
+        {f"medians_by_{weight_name}": summary, "group_by": args.group_by},
         meta,
     )
     return 0
@@ -512,11 +515,11 @@ def _cmd_metric(
 
 # the aggregate is looked up per call, so a wrapper bound in its place is the one called
 def cmd_entropy(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _cmd_metric(cfg, args, "entropy", "dataset", "beta", aggregate_entropy)
+    return _cmd_metric(cfg, args, "entropy", "beta", aggregate_entropy)
 
 
 def cmd_quality(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _cmd_metric(cfg, args, "quality", "model", "omega", aggregate_quality)
+    return _cmd_metric(cfg, args, "quality", "omega", aggregate_quality)
 
 
 def _metric_point(row: Mapping[str, object]) -> tuple[str, float]:
@@ -592,42 +595,26 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .simulate import NoiseSpec, corpus_records_from_series, generate
-    values = [float(v) for v in args.params.split(",")]
     noise = NoiseSpec(NoiseKind(args.noise), args.magnitude, cfg.seed)
-    version = args.version or args.model
-    series = generate(
-        args.model,
-        values,
-        args.horizon,
-        noise,
-        product=args.product,
-        version=version,
-        dataset_kind=DatasetKind(args.dataset),
-    )
+    series = generate(args.model, args.params, args.horizon, noise, product=args.product,
+                      version=args.series_version, dataset_kind=DatasetKind(args.dataset))
+    if args.emit_corpus:
+        # every month end is built before the first write, so a failure writes nothing
+        release = Release(args.product, series.version, args.release_date)
+        corpus = Corpus(corpus_records_from_series(series, release))
+        as_of = msr_end(release.release_date, series.last_msr)
     out = _out_dir(cfg)
-    meta = cfg.metadata() | {
-        "model": args.model,
-        "params": _param_csv(values),
-        "noise": args.noise,
-        "magnitude": args.magnitude,
-    }
     columns = ("product", "version", "dataset", "msr", "cumulative")
     # simulated counts are whole numbers
     rows = (dict(zip(columns, series.key() + (m, int(c)))) for m, c in series.points)
+    meta = _metadata(cfg.settings)
     _write_csv(out / "series.csv", columns, rows, meta)
 
     if args.emit_corpus:
-        release = Release(args.product, version, args.release_date)
-        records = corpus_records_from_series(series, release)
-        corpus = Corpus(records)
         export_corpus(corpus, out / "corpus.ndjson")
         export_releases([release], out / "releases.json")
-        as_of = msr_end(release.release_date, series.last_msr)
-        _write_json(
-            out / "manifest.json",
-            {"as_of": as_of.isoformat(), "records": len(corpus)},
-            meta,
-        )
+        _write_json(out / "manifest.json", {"as_of": as_of.isoformat(), "records": len(corpus)},
+                    meta)
     return 0
 
 
@@ -646,7 +633,7 @@ def cmd_import(cfg: RunConfig, args: argparse.Namespace) -> int:
     }
     if releases is not None:
         payload["releases"] = len(releases)
-    _write_json(out / "import_summary.json", payload, cfg.metadata())
+    _write_json(out / "import_summary.json", payload, _metadata(cfg.settings))
     return 0
 
 
@@ -692,14 +679,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("track", curves, cmd_track, "rolling goodness-of-fit per month")
     p.add_argument("--start-msr", dest="start_msr", type=int)
 
-    for name, run, weight in (("entropy", cmd_entropy, "beta"), ("quality", cmd_quality, "omega")):
+    for name, run, weight, group_by in (
+        ("entropy", cmd_entropy, "beta", "dataset"), ("quality", cmd_quality, "omega", "model"),
+    ):
         p = command(name, session, run, f"{name} series and medians from rolling states")
         p.add_argument("--track", required=True, help="track.csv written by the track command")
         p.add_argument(f"--{weight}", type=_csv_floats, help=f"comma list of {weight} weights")
-        p.add_argument(
-            "--group-by", choices=("dataset", "model"),
-            help="pooling (default: dataset for entropy, model for quality)",
-        )
+        p.add_argument("--group-by", choices=("dataset", "model"), default=group_by,
+                       help="pooling (default: %(default)s)")
 
     p = command("compare", session, cmd_compare, "rank tests across metric-series groups")
     p.add_argument("--series", required=True, help="metric CSV with group,msr,value rows")
@@ -712,12 +699,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("simulate", session, cmd_simulate, "generate a synthetic series or corpus")
     p.add_argument("--seed", type=int)
     p.add_argument("--model", required=True, choices=MODEL_IDS)
-    p.add_argument("--params", required=True, help="comma list of parameter values")
+    p.add_argument("--params", type=_csv_floats, required=True,
+                   help="comma list of parameter values")
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--noise", choices=[k.value for k in NoiseKind], default="none")
     p.add_argument("--magnitude", type=float, default=0.0)
     p.add_argument("--product", default="synthetic")
-    p.add_argument("--series-version", dest="version", default=None)
+    p.add_argument("--series-version", help="the series' version (default: the model)")
     p.add_argument("--dataset", choices=_ALL_DATASETS, default="NVD")
     p.add_argument("--release-date", dest="release_date", type=iso_date, default="2005-01-01")
     p.add_argument("--emit-corpus", action="store_true", help="also write corpus + releases")

@@ -275,6 +275,8 @@ def msr_end(release_date: date, msr: int) -> date:
         raise ValueError(f"msr must be >= 1, got {msr}")
     total = release_date.year * 12 + (release_date.month - 1) + msr
     year, month0 = divmod(total, 12)
+    if year > date.max.year:
+        raise ValueError(f"MSR {msr} of a release dated {release_date} ends after {date.max}")
     return date(year, month0 + 1, calendar.monthrange(year, month0 + 1)[1])
 
 
@@ -285,16 +287,18 @@ def build_series(
     dataset_kind: DatasetKind,
 ) -> ObservationSeries:
     """Cumulative counts at every complete month end up to ``as_of``."""
-    ends = []
-    while (end := msr_end(release.release_date, len(ends) + 1)) <= as_of:
-        ends.append(end)
-    if not ends:
+    start = release.release_date
+    # the last complete month is as_of's own, unless as_of is not the last day of it
+    last = (as_of.year - start.year) * 12 + as_of.month - start.month
+    if as_of.day < calendar.monthrange(as_of.year, as_of.month)[1]:
+        last -= 1
+    if last < 1:
         raise EmptyWindowError(
-            f"as_of {as_of} precedes the end of MSR 1 ({end}) for "
+            f"as_of {as_of} precedes the end of MSR 1 ({msr_end(start, 1)}) for "
             f"{release.product} {release.version}"
         )
     dates = sorted(vulns.values())
-    points = tuple((m, float(bisect_right(dates, end))) for m, end in enumerate(ends, start=1))
+    points = tuple((m, float(bisect_right(dates, msr_end(start, m)))) for m in range(1, last + 1))
     return ObservationSeries(release.product, release.version, dataset_kind, points)
 
 

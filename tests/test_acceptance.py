@@ -315,7 +315,7 @@ def _run_pipeline(base: Path, seed: int) -> Path:
     as_of = json.loads((sim / "manifest.json").read_text())["as_of"]
     # only simulate takes --seed, so only it reads the session config's
     # seed; every other command checks the key, then ignores it, and its
-    # header reads the default seed
+    # header has no seed line
     config = sim / "run.json"
     config.write_text(json.dumps({"seed": seed}))
     session = ["--config", str(config)]

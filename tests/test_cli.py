@@ -1,6 +1,7 @@
 import ast
 import concurrent.futures
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -72,8 +73,9 @@ def test_simulate_series_csv_header_columns_and_counts(world):
     lines = (world["root"] / "series.csv").read_text().splitlines()
     meta = [line for line in lines if line.startswith("#")]
     assert lines[: len(meta)] == meta == sorted(meta)
-    assert {"# model: RE", "# params: 60.0;0.08", "# noise: multiplicative",
-            "# magnitude: 0.02", "# seed: 11"} <= set(meta)
+    assert {"# model: RE", "# params: [60.0, 0.08]", "# noise: multiplicative",
+            "# magnitude: 0.02", "# seed: 11", "# horizon: 24", "# product: synthetic",
+            "# dataset: NVD", "# release_date: 2005-01-01"} <= set(meta)
     assert lines[len(meta)] == "product,version,dataset,msr,cumulative"
     rows = list(csv.reader(lines[len(meta) + 1 :]))
     series = generate("RE", (60.0, 0.08), 24, NoiseSpec(NoiseKind.MULTIPLICATIVE, 0.02, 11))
@@ -315,9 +317,9 @@ def test_fits_are_the_last_month_of_the_track(world, tmp_path, workers):
         fit_meta, fit_data = _meta_and_data(tmp_path / "fit" / name)
         track_meta, track_data = _meta_and_data(tmp_path / "track" / name)
         assert track_data == fit_data, name
-        assert sorted(fit_meta) == sorted(track_meta)
-        assert {k for k in fit_meta if fit_meta[k] != track_meta[k]} == {"start_msr", "config_hash"}
-        assert (str(fit_meta["start_msr"]), str(track_meta["start_msr"])) == ("6", "22")
+        assert sorted(track_meta) == sorted([*fit_meta, "start_msr"])
+        assert {k for k in fit_meta if fit_meta[k] != track_meta[k]} == {"config_hash"}
+        assert str(track_meta["start_msr"]) == "22"
     columns = ("classification", "p_value", "chi2", "valid", "converged", "sse")
     fits = read_csv(tmp_path / "fit" / "fits.csv")
     last = {
@@ -682,6 +684,21 @@ def test_config_file_with_flag_override(world, tmp_path, caplog):
     assert meta == read_json(tmp_path / "float_weights" / "entropy_summary.json")["meta"]
     assert meta["beta"] == "[1.0, 2.0]"
 
+    # nor do entropy's unread seed and omega, or simulate's unread models:
+    # same bytes, config_hash included
+    unread.write_text(json.dumps(settings | {"seed": 5, "omega": [3], "models": ["AT"]}))
+    assert run_cli("entropy", "--config", unread, "--track", track,
+                   "--out", tmp_path / "entropy_unread") == 0
+    for name in ("entropy_beta1.csv", "entropy_beta2.csv", "entropy_summary.json"):
+        unread_bytes = (tmp_path / "entropy_unread" / name).read_bytes()
+        assert unread_bytes == (tmp_path / "float_weights" / name).read_bytes()
+    simulate = ("simulate", "--model", "LN", "--params", "1,0", "--horizon", "12")
+    assert run_cli(*simulate, "--out", tmp_path / "sim") == 0
+    assert run_cli(*simulate, "--config", unread, "--seed", "0",
+                   "--out", tmp_path / "sim_unread") == 0
+    unread_bytes = (tmp_path / "sim_unread" / "series.csv").read_bytes()
+    assert unread_bytes == (tmp_path / "sim" / "series.csv").read_bytes()
+
     code = run_cli("fit", "--config", config, "--models", "AT", "--out", tmp_path / "override")
     assert code == 0
     rows = read_csv(tmp_path / "override" / "fits.csv")
@@ -966,6 +983,14 @@ def test_simulate_rejects_a_non_finite_value_and_writes_nothing(tmp_path, caplog
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_past_the_last_date_writes_nothing(tmp_path, caplog):
+    # MSR 120 of a release in 9990-01 would end in the year 10000
+    assert run_cli("simulate", "--model", "LN", "--params", "1,0", "--horizon", "200",
+                   "--release-date", "9990-01-01", "--emit-corpus", "--out", tmp_path / "out") == 1
+    assert "MSR 120 of a release dated 9990-01-01 ends after 9999-12-31" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_curve_that_overflows_is_an_error_line_alone(tmp_path):
     # 1e308 * ln(2) + 1e308 overflows inside numpy, which would warn first
     out = tmp_path / "out"
@@ -1165,6 +1190,12 @@ def test_fit_without_as_of_observes_up_to_the_latest_record(world, tmp_path, cap
                    "--out", tmp_path / "none") == 1
     assert "empty corpus and no --as-of given" in caplog.text
     assert not (tmp_path / "none").exists()
+    # the last date there is: every month up to its own is complete
+    assert run_cli("fit", "--corpus", world["corpus"], "--releases", world["releases"],
+                   "--as-of", "9999-12-31", "--datasets", "NVD", "--models", "LN",
+                   "--out", tmp_path / "last") == 0
+    (row,) = read_csv(tmp_path / "last" / "fits.csv")
+    assert (row["status"], row["dof"]) == ("ok", str((9999 - 2005) * 12 + 11 - 2))
 
 
 # the flags each subcommand reads besides its own; a config file may still
@@ -1220,6 +1251,59 @@ def test_each_command_takes_only_the_flags_it_reads(capsys):
             run_cli(command, *REQUIRED.get(command, ()), flag, FLAG_VALUES[flag][0])
         assert exc.value.code == 2, (command, flag)
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# the settings each command's header records besides tool, dof_convention
+# and config_hash: every flag it defines but file locations and --workers
+RECORDED = {
+    "import": (),
+    "fit": ("as_of", "datasets", "models", "multistart"),
+    "track": ("as_of", "datasets", "models", "multistart", "start_msr"),
+    "entropy": ("beta", "group_by"),
+    "quality": ("group_by", "omega"),
+    "compare": ("alpha", "alternative", "baseline"),
+    "simulate": ("dataset", "emit_corpus", "horizon", "magnitude", "model", "noise", "params",
+                 "product", "release_date", "seed", "series_version"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED))
+def test_each_header_records_the_settings_its_command_reads(world, tmp_path, command):
+    inputs = ("--corpus", world["corpus"], "--releases", world["releases"])
+    curves = (*inputs, "--as-of", world["as_of"], "--models", "LN,RE", "--workers", "2")
+    track = tmp_path / "track"
+    argvs = {
+        "import": ("import", *inputs),
+        "fit": ("fit", *curves),
+        "track": ("track", *curves, "--start-msr", "22"),
+        "entropy": ("entropy", "--track", track / "track.csv"),
+        "quality": ("quality", "--track", track / "track.csv"),
+        "compare": ("compare", "--series", track / "entropy_beta1.csv"),
+        "simulate": ("simulate", "--model", "LN", "--params", "1,0", "--horizon", "12",
+                     "--emit-corpus"),
+    }
+    recorded = set(RECORDED[command])
+    expected = recorded | {"tool", "dof_convention", "config_hash"}
+    carried = command in ("entropy", "quality", "compare")
+    if carried:  # a metric command takes as_of, start_msr and config_hash from its input
+        expected |= {"as_of", "start_msr"}
+        assert run_cli(*argvs["track"], "--out", track) == 0
+        assert run_cli(*argvs["entropy"], "--out", track) == 0
+    out = tmp_path / "out"
+    assert run_cli(*argvs[command], "--out", out) == 0
+    # every file but the corpus and releases exports, which are input formats
+    written = sorted(p for p in out.iterdir() if p.suffix in (".csv", ".json")
+                     and p.name != "releases.json")
+    assert written
+    for path in written:
+        meta = _meta_and_data(path)[0]
+        assert set(meta) == expected, path.name
+        if carried:
+            assert meta["config_hash"] == read_header(track / "track.csv")["config_hash"]
+        elif path.suffix == ".json":
+            # config_hash is the hash of the recorded settings, as the JSON meta gives them
+            blob = json.dumps({k: meta[k] for k in recorded}, sort_keys=True).encode()
+            assert meta["config_hash"] == hashlib.sha256(blob).hexdigest()[:16], path.name
 
 
 def test_summaries_are_strict_json_with_null_for_an_empty_half(world, tmp_path):

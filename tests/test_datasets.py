@@ -362,6 +362,22 @@ def test_build_series_brute_force_date_bucketing():
     assert msr_end(release.release_date, series.last_msr + 1) > as_of
 
 
+def test_build_series_counts_the_complete_months_up_to_any_date():
+    release = Release("ff", "1.0", date(2005, 3, 20))
+    for day in range(760):
+        as_of = date(2005, 3, 1) + timedelta(days=day)
+        complete = [m for m in range(1, 26) if msr_end(release.release_date, m) <= as_of]
+        if not complete:
+            with pytest.raises(EmptyWindowError):
+                build_series({}, release, as_of, DatasetKind.NVD)
+        else:
+            assert build_series({}, release, as_of, DatasetKind.NVD).months == tuple(complete)
+    # up to the last date, whose next month end is not a date
+    release = Release("ff", "1.0", date(9998, 11, 15))
+    series = build_series({"N1": date.max}, release, date.max, DatasetKind.NVD)
+    assert series.points == tuple((m, float(m == 13)) for m in range(1, 14))
+
+
 def test_build_series_shift_equivariance():
     # every (shift, day offset) pair: 0-60 months, 0-27 days into February 2005
     def months_shifted(d, k):
@@ -417,6 +433,8 @@ def _write(path, text):
         (lambda tmp: ObservationSeries("p", "v", DatasetKind.NVD, ((1, -1.0),)),
          ValueError, "counts must be non-negative"),
         (lambda tmp: msr_end(date(2005, 1, 1), 0), ValueError, "msr must be >= 1, got 0"),
+        (lambda tmp: msr_end(date(9990, 1, 1), 120), ValueError,
+         "MSR 120 of a release dated 9990-01-01 ends after 9999-12-31"),
         (lambda tmp: import_corpus(_write(
             tmp / "c.ndjson", '{"id": "", "kind": "bug", "published": "2005-01-01"}\n')),
          ParseError, "line 1: record id must be a non-empty string"),
@@ -432,8 +450,8 @@ def _write(path, text):
         (lambda tmp: import_releases(_write(tmp / "r.json", '[["p", "1", "2005-01-01"]]')),
          ParseError, "release #0: a release must be a JSON object"),
     ],
-    ids=["negative-count", "msr-zero", "empty-id", "missing-kind", "record-array",
-         "releases-object", "release-without-date", "release-array"],
+    ids=["negative-count", "msr-zero", "msr-past-the-last-date", "empty-id", "missing-kind",
+         "record-array", "releases-object", "release-without-date", "release-array"],
 )
 def test_each_bad_input_raises_its_error_by_name(tmp_path, call, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -1,8 +1,10 @@
+import argparse
 import json
+import re
 import shlex
 from pathlib import Path
 
-from vdmfit.cli import main
+from vdmfit.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,6 +14,18 @@ def readme_block(after: str, language: str) -> str:
     ``after``."""
     section = README.read_text(encoding="utf-8").split(after, 1)[1]
     return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_command_table_lists_every_flag_each_command_takes():
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \|$", README.read_text(encoding="utf-8"), re.M)
+    table = {command: set(flags.split()) for command, flags in rows}
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert len(rows) == len(table) == 7
+    assert table == parsed
 
 
 def test_library_use_block_runs(capsys):
