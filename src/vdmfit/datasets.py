@@ -29,10 +29,11 @@ import logging
 import math
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import date
 from enum import Enum
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -293,8 +294,9 @@ def build_series(
     if as_of.day < calendar.monthrange(as_of.year, as_of.month)[1]:
         last -= 1
     if last < 1:
+        end = msr_end(start, 1) if start < date.max.replace(day=1) else f"after {date.max}"
         raise EmptyWindowError(
-            f"as_of {as_of} precedes the end of MSR 1 ({msr_end(start, 1)}) for "
+            f"as_of {as_of} precedes the end of MSR 1 ({end}) for "
             f"{release.product} {release.version}"
         )
     dates = sorted(vulns.values())
@@ -312,32 +314,39 @@ def iso_date(text: str) -> date:
 
 
 _JSON_TYPE_NAMES = {str: "a string", list: "an array of strings", bool: "true or false"}
+_RECORD_KINDS = {kind.value: kind for kind in RecordKind}
+_EMPTY: frozenset[str] = frozenset()  # one for all: most records lack affects or refs
 
 
 def _json_field(obj: dict, key: str, kind: type, default: object = None) -> object:
     """``obj[key]`` (``default`` when given and the key is absent), which
     must be a ``kind``: a str, a bool, or a list of strings."""
     value = obj[key] if default is None else obj.get(key, default)
-    if not isinstance(value, kind) or kind is list and not all(isinstance(v, str) for v in value):
-        raise TypeError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
-    return value
+    if isinstance(value, kind):
+        for item in value if kind is list else ():
+            if not isinstance(item, str):
+                break
+        else:
+            return value
+    raise TypeError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
 
 
-def _record_from_json(obj: object, where: str) -> SecurityRecord:
+def _record_from_json(obj: object, dates: dict[str, date]) -> SecurityRecord:
     if not isinstance(obj, dict):
-        raise ParseError(f"{where}: a record must be a JSON object")
+        raise ValueError("a record must be a JSON object")
+    rid = obj["id"]
     try:
-        rid = obj["id"]
+        kind = _RECORD_KINDS[obj["kind"]]
+    except (KeyError, TypeError):  # absent or no kind: raises KeyError, or RecordKind's error
         kind = RecordKind(obj["kind"])
-        published = iso_date(obj["published"])
-        affects = frozenset(_json_field(obj, "affects", list, []))
-        refs = frozenset(_json_field(obj, "refs", list, []))
-    except KeyError as exc:
-        raise ParseError(f"{where}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    try:
+        published = dates[obj["published"]]
+    except (KeyError, TypeError):  # a new text; absent or no str raises KeyError or iso_date's
+        published = dates[obj["published"]] = iso_date(obj["published"])
+    affects = frozenset(_json_field(obj, "affects", list, [])) or _EMPTY
+    refs = frozenset(_json_field(obj, "refs", list, [])) or _EMPTY
     if not isinstance(rid, str) or not rid:
-        raise ParseError(f"{where}: record id must be a non-empty string")
+        raise ValueError("record id must be a non-empty string")
     return SecurityRecord(rid, kind, published, affects, refs)
 
 
@@ -350,6 +359,7 @@ def import_corpus(path: Union[str, Path]) -> Corpus:
     on repeated ids; dangling refs are dropped with a warning.
     """
     records = []
+    dates: dict[str, date] = {}  # each published text iso_date accepted, and its date
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -357,32 +367,30 @@ def import_corpus(path: Union[str, Path]) -> Corpus:
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    records.append(_record_from_json(json.loads(line), dates))
+                except KeyError as exc:
+                    raise ParseError(f"{path}: line {lineno}: missing key {exc}") from exc
+                except (TypeError, ValueError) as exc:  # bad JSON as well
                     raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-                records.append(_record_from_json(obj, f"{path}: line {lineno}"))
         except UnicodeDecodeError as exc:  # decoded a block at a time, so no line to name
             raise ParseError(f"{path}: {exc}") from None
     return Corpus(records)
 
 
 def export_corpus(corpus: Corpus, path: Union[str, Path]) -> None:
-    """Write the corpus back out as newline-delimited JSON (sorted by id)."""
+    """Write the corpus back out as newline-delimited JSON (sorted by id),
+    each line as ``json.dumps(record, sort_keys=True)`` writes it."""
+    # spelled out: json.dumps builds an encoder per call, dearer than the line
+    def strings(values: frozenset[str]) -> str:
+        return ", ".join(map(_json_string, sorted(values)))
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in sorted(corpus, key=lambda r: r.id):
-            fh.write(
-                json.dumps(
-                    {
-                        "id": rec.id,
-                        "kind": rec.kind.value,
-                        "published": rec.published.isoformat(),
-                        "affects": sorted(rec.affects),
-                        "refs": sorted(rec.refs),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        fh.writelines(
+            f'{{"affects": [{strings(rec.affects)}], "id": {_json_string(rec.id)}, '
+            f'"kind": "{rec.kind.value}", "published": "{rec.published}", '
+            f'"refs": [{strings(rec.refs)}]}}\n'
+            for rec in sorted(corpus, key=lambda r: r.id)
+        )
 
 
 def import_releases(path: Union[str, Path]) -> list[Release]:
@@ -426,15 +434,7 @@ def import_releases(path: Union[str, Path]) -> list[Release]:
 
 
 def export_releases(releases: Sequence[Release], path: Union[str, Path]) -> None:
-    payload = [
-        {
-            "product": r.product,
-            "version": r.version,
-            "release_date": r.release_date.isoformat(),
-            "include_unlinked_advisory_bugs": r.include_unlinked_advisory_bugs,
-        }
-        for r in releases
-    ]
+    payload = [asdict(r) | {"release_date": r.release_date.isoformat()} for r in releases]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -435,6 +435,9 @@ def _write(path, text):
         (lambda tmp: msr_end(date(2005, 1, 1), 0), ValueError, "msr must be >= 1, got 0"),
         (lambda tmp: msr_end(date(9990, 1, 1), 120), ValueError,
          "MSR 120 of a release dated 9990-01-01 ends after 9999-12-31"),
+        (lambda tmp: build_series({}, Release("p", "v", date(9999, 12, 5)), date(9999, 12, 31),
+                                  DatasetKind.NVD),
+         EmptyWindowError, "as_of 9999-12-31 precedes the end of MSR 1 (after 9999-12-31) for p v"),
         (lambda tmp: import_corpus(_write(
             tmp / "c.ndjson", '{"id": "", "kind": "bug", "published": "2005-01-01"}\n')),
          ParseError, "line 1: record id must be a non-empty string"),
@@ -450,8 +453,9 @@ def _write(path, text):
         (lambda tmp: import_releases(_write(tmp / "r.json", '[["p", "1", "2005-01-01"]]')),
          ParseError, "release #0: a release must be a JSON object"),
     ],
-    ids=["negative-count", "msr-zero", "msr-past-the-last-date", "empty-id", "missing-kind",
-         "record-array", "releases-object", "release-without-date", "release-array"],
+    ids=["negative-count", "msr-zero", "msr-past-the-last-date", "window-past-the-last-date",
+         "empty-id", "missing-kind", "record-array", "releases-object", "release-without-date",
+         "release-array"],
 )
 def test_each_bad_input_raises_its_error_by_name(tmp_path, call, error, message):
     with pytest.raises(error, match=re.escape(message)):
@@ -488,6 +492,35 @@ def test_import_parse_error_names_line(tmp_path):
         path.write_text(json.dumps(good) + "\n" + json.dumps(good | {"id": "Y", "published": published}) + "\n")
         with pytest.raises(ParseError, match=f"line 2: .*{published}"):
             import_corpus(path)
+
+
+def test_import_names_the_line_of_a_mistyped_kind_or_date(tmp_path):
+    # kinds and dates are looked up by their text; a value that is not a
+    # known text still gets the message RecordKind or iso_date gives it
+    path = tmp_path / "corpus.ndjson"
+    good = {"id": "X", "kind": "bug", "published": "2004-11-09"}
+    for key, value, message in [
+        ("kind", ["nvd"], "['nvd'] is not a valid RecordKind"),
+        ("kind", None, "None is not a valid RecordKind"),
+        ("kind", "NVD", "'NVD' is not a valid RecordKind"),
+        ("published", 20041109, "fromisoformat: argument must be str"),
+        ("published", None, "fromisoformat: argument must be str"),
+        ("published", ["2004-11-09"], "fromisoformat: argument must be str"),
+        ("published", "20041109", "not a date YYYY-MM-DD: '20041109'"),
+    ]:
+        path.write_text(json.dumps(good) + "\n" + json.dumps(good | {"id": "Y", key: value}) + "\n")
+        with pytest.raises(ParseError, match=re.escape(f"line 2: {message}")):
+            import_corpus(path)
+    for key in ("kind", "published"):
+        bad = {k: v for k, v in good.items() if k != key} | {"id": "Y"}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ParseError, match=f"line 2: missing key '{key}'"):
+            import_corpus(path)
+    # a bad date text is never remembered: its first line is the one named
+    bad = json.dumps(good | {"published": "2004-02-30"})
+    path.write_text(json.dumps(good) + "\n" + bad + "\n" + bad + "\n")
+    with pytest.raises(ParseError, match="line 2: day is out of range for month"):
+        import_corpus(path)
 
 
 def test_import_rejects_mistyped_affects_and_refs(tmp_path):
@@ -539,6 +572,32 @@ def test_round_trip_of_large_random_corpus(tmp_path):
     back_by_id = {r.id: r for r in back}
     for rec in corpus:
         assert back_by_id[rec.id] == rec
+    again = tmp_path / "again.ndjson"
+    export_corpus(back, again)
+    assert again.read_bytes() == path.read_bytes()
+    lines = path.read_text().splitlines()
+    assert lines == [json.dumps(json.loads(line), sort_keys=True) for line in lines]
+
+
+def test_export_writes_the_canonical_form(tmp_path):
+    # ids out of order, keys and lists unsorted, absent and empty lists,
+    # non-ASCII text and one dangling ref
+    path = tmp_path / "c.ndjson"
+    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in [
+        {"refs": ["BUG-2", "ADV-1", "GHOST"], "id": "NVD-\u00fc", "kind": "nvd",
+         "published": "2006-03-10", "affects": ["2.0", "1.0\u03b2", "\U0001f600"]},
+        {"kind": "bug", "id": "BUG-2", "published": "2006-01-02"},
+        {"id": "ADV-1", "kind": "advisory", "published": "2006-02-03", "affects": [],
+         "refs": ["NVD-\u00fc", "BUG-2"]},
+    ]), encoding="utf-8")
+    export_corpus(import_corpus(path), tmp_path / "out.ndjson")
+    assert (tmp_path / "out.ndjson").read_bytes() == (
+        b'{"affects": [], "id": "ADV-1", "kind": "advisory", "published": "2006-02-03", '
+        b'"refs": ["BUG-2", "NVD-\\u00fc"]}\n'
+        b'{"affects": [], "id": "BUG-2", "kind": "bug", "published": "2006-01-02", "refs": []}\n'
+        b'{"affects": ["1.0\\u03b2", "2.0", "\\ud83d\\ude00"], "id": "NVD-\\u00fc", "kind": "nvd", '
+        b'"published": "2006-03-10", "refs": ["ADV-1", "BUG-2"]}\n'
+    )
 
 
 def test_releases_round_trip_with_optional_fields(tmp_path):
