@@ -26,7 +26,6 @@ import math
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -63,68 +62,38 @@ DOF_CONVENTION = "n_points_minus_param_count"
 _ALL_DATASETS = tuple(k.value for k in DatasetKind)
 
 
-@dataclass
-class RunConfig:
-    corpus: str | None = None
-    releases: str | None = None
-    datasets: list[str] = field(default_factory=lambda: list(_ALL_DATASETS))
-    models: list[str] = field(default_factory=lambda: list(MODEL_IDS))
-    start_msr: int = DEFAULT_START_MSR
-    beta: list[float] = field(default_factory=lambda: [1.0, 2.0])
-    omega: list[float] = field(default_factory=lambda: [1.0, 2.0])
-    out: str = "out"
-    seed: int = 0
-    workers: int = 1
-    multistart: int = DEFAULT_MULTISTART
-    as_of: str | None = None
-    # what the output metadata records, which build_config derives; no config key sets it
-    settings: dict = field(default_factory=dict, init=False, repr=False)
-
-    def validate(self) -> None:
-        if not self.models:
-            raise ValueError("no models selected")
-        if not self.datasets:
-            raise ValueError("no dataset kinds selected")
-        for m in self.models:
-            if m not in MODEL_IDS:
-                from .models import spec  # its error names the unknown id
-                spec(m)
-        for d in self.datasets:
-            DatasetKind(d)
-        for name in ("beta", "omega"):
-            weights = getattr(self, name)
-            if not weights or not all(math.isfinite(w) and w >= 1.0 for w in weights):
-                raise ValueError(f"{name} weights must be finite and >= 1")
-        for name in ("models", "datasets", "beta", "omega"):
-            values = getattr(self, name)
-            if len(set(values)) < len(values):
-                raise ValueError(f"{name} must not repeat a value, got {values}")
-        for name in ("start_msr", "workers", "multistart"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.as_of:
-            try:
-                iso_date(self.as_of)
-            except ValueError:
-                raise ValueError(f"as_of must be a date YYYY-MM-DD, got {self.as_of!r}") from None
-
-
-# the config keys; the types are strings, since annotations are postponed
-_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig) if f.init}
-# the JSON values a config file may give a RunConfig field of each type
+# the config keys: each one's JSON type, as its type error names it, and its default
+_CONFIG_KEYS = {
+    "corpus": ("str | None", None),
+    "releases": ("str | None", None),
+    "datasets": ("list[str]", _ALL_DATASETS),
+    "models": ("list[str]", MODEL_IDS),
+    "start_msr": ("int", DEFAULT_START_MSR),
+    "beta": ("list[float]", (1.0, 2.0)),
+    "omega": ("list[float]", (1.0, 2.0)),
+    "out": ("str", "out"),
+    "seed": ("int", 0),
+    "workers": ("int", 1),
+    "multistart": ("int", DEFAULT_MULTISTART),
+    "as_of": ("str | None", None),
+}
+# the JSON values a config file may give a key of each type
 _JSON_SCALARS = {"str": str, "str | None": (str, type(None)), "int": int, "float": (int, float)}
 
 
-def _config_value_ok(value: object, annotation: str) -> bool:
-    """Whether a config file's value fits the RunConfig field annotated
-    ``annotation``: one of _JSON_SCALARS, or a ``list[...]`` of one."""
-    if annotation.startswith("list["):
-        return isinstance(value, list) and all(_config_value_ok(v, annotation[5:-1]) for v in value)
-    return isinstance(value, _JSON_SCALARS[annotation]) and not isinstance(value, bool)
+def _config_value_ok(value: object, label: str) -> bool:
+    """Whether a config file's value is of the type ``label``: one of
+    _JSON_SCALARS, or a ``list[...]`` of one."""
+    if label.startswith("list["):
+        return isinstance(value, list) and all(_config_value_ok(v, label[5:-1]) for v in value)
+    return isinstance(value, _JSON_SCALARS[label]) and not isinstance(value, bool)
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    data: dict = {}
+def build_config(args: argparse.Namespace) -> None:
+    """Resolve each config key the command has a flag for onto ``args``:
+    the flag, else the ``--config`` file's value, else the default. The
+    values are validated, then each list is put in one order."""
+    loaded: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
@@ -133,35 +102,54 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 raise ValueError(f"{args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-        unknown = set(loaded) - set(_CONFIG_TYPES)
+        unknown = set(loaded) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
         for key, value in loaded.items():
-            if not _config_value_ok(value, _CONFIG_TYPES[key]):
-                raise ValueError(f"{args.config}: config key {key!r} must be {_CONFIG_TYPES[key]}")
-        # a key without a flag on this command is checked, then ignored, so
-        # the header and config_hash hold only the settings the command reads
-        data.update((key, value) for key, value in loaded.items() if hasattr(args, key))
-    for key in _CONFIG_TYPES:
-        value = getattr(args, key, None)  # each command has flags for some fields only
-        if value is not None:
-            data[key] = value
-    # a config file may write a weight as an int: 1 and 1.0 are one analysis
-    data.update({k: [float(w) for w in data[k]] for k in ("beta", "omega") if k in data})
-    cfg = RunConfig(**data)
-    cfg.validate()
+            label = _CONFIG_KEYS[key][0]
+            if not _config_value_ok(value, label):
+                raise ValueError(f"{args.config}: config key {key!r} must be {label}")
+    # a key without a flag on this command is checked, then ignored, so
+    # the header and config_hash hold only the settings the command reads
+    flagged = _CONFIG_KEYS.keys() & vars(args).keys()
+    cfg = {key: default for key, (_, default) in _CONFIG_KEYS.items()}
+    for key in flagged:
+        flag = getattr(args, key)
+        cfg[key] = loaded.get(key, cfg[key]) if flag is None else flag
+    # a config file may write a weight as an int: 1 and 1.0 are one analysis, and
+    # an int read as its text is inf past float range, as 1e400 is
+    cfg["beta"], cfg["omega"] = ([float(str(w)) for w in cfg[k]] for k in ("beta", "omega"))
+    if not cfg["models"]:
+        raise ValueError("no models selected")
+    if not cfg["datasets"]:
+        raise ValueError("no dataset kinds selected")
+    for m in cfg["models"]:
+        if m not in MODEL_IDS:
+            from .models import spec  # its error names the unknown id
+            spec(m)
+    for d in cfg["datasets"]:
+        DatasetKind(d)
+    for name in ("beta", "omega"):
+        if not cfg[name] or not all(math.isfinite(w) and w >= 1.0 for w in cfg[name]):
+            raise ValueError(f"{name} weights must be finite and >= 1")
+    for name in ("models", "datasets", "beta", "omega"):
+        values = cfg[name]
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} must not repeat a value, got {values}")
+    for name in ("start_msr", "workers", "multistart"):
+        if cfg[name] < 1:
+            raise ValueError(f"{name} must be >= 1")
+    if cfg["as_of"]:
+        try:
+            iso_date(cfg["as_of"])
+        except ValueError:
+            raise ValueError(f"as_of must be a date YYYY-MM-DD, got {cfg['as_of']!r}") from None
     # and so are two orders of one list: one header and one hash, whatever order was given
-    cfg.models = [m for m in MODEL_IDS if m in cfg.models]
-    cfg.datasets = [d for d in _ALL_DATASETS if d in cfg.datasets]
-    cfg.beta, cfg.omega = sorted(cfg.beta), sorted(cfg.omega)
-    # the header records every setting the command's parser defines, resolved,
-    # but not file locations or scheduling: reruns of one analysis from other
-    # directories or at other worker counts write the same bytes
-    cfg.settings = {
-        key: _header_value(getattr(cfg, key) if key in _CONFIG_TYPES else value)
-        for key, value in vars(args).items() if key not in _UNRECORDED
-    }
-    return cfg
+    cfg["models"] = [m for m in MODEL_IDS if m in cfg["models"]]
+    cfg["datasets"] = [d for d in _ALL_DATASETS if d in cfg["datasets"]]
+    cfg["beta"], cfg["omega"] = sorted(cfg["beta"]), sorted(cfg["omega"])
+    for key in flagged:
+        setattr(args, key, cfg[key])
 
 
 # the parser's own entries, file locations and scheduling
@@ -176,16 +164,21 @@ def _header_value(value: object) -> object:
     return value.isoformat() if isinstance(value, date) else value
 
 
-def _metadata(settings: Mapping[str, object]) -> dict:
-    """The metadata of an output file: ``settings``, the tool, the dof
-    convention and ``config_hash``, the hash of ``settings``."""
+def _metadata(args: argparse.Namespace, **extra: object) -> dict:
+    """The metadata of an output file: the tool, the dof convention, the
+    settings (each one the command's parser defines, resolved, then
+    ``extra``) and ``config_hash``, the hash of those settings. File
+    locations and scheduling are not settings: reruns of one analysis from
+    other directories or at other worker counts write the same bytes."""
+    settings = {key: _header_value(value) for key, value in (vars(args) | extra).items()
+                if key not in _UNRECORDED}
     digest = hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()[:16]
     return {**settings, "tool": f"vdmfit {__version__}", "dof_convention": DOF_CONVENTION,
             "config_hash": digest}
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -215,7 +208,7 @@ def _write_json(path: Path, payload: Mapping[str, object], meta: Mapping[str, ob
 
 
 def _read_rows(
-    cfg: RunConfig, path: str | Path, required: Sequence[str], parse: Callable
+    args: argparse.Namespace, path: str | Path, required: Sequence[str], parse: Callable
 ) -> tuple[dict, list]:
     """The metadata for what a command writes from a CSV file, and
     ``parse(row)`` of its every row. The leading ``#`` lines are the
@@ -242,7 +235,7 @@ def _read_rows(
     except csv.Error as exc:  # a field over the csv field limit, say
         raise ValueError(f"{path}: row {len(rows) + 1}: {exc}") from None
     try:
-        meta = _metadata(cfg.settings) | {
+        meta = _metadata(args) | {
             key: parse_value(header[key])
             for key, parse_value in (("as_of", str), ("start_msr", int), ("config_hash", str))
             if key in header
@@ -261,22 +254,22 @@ def _read_rows(
     return meta, parsed
 
 
-def _load_series(cfg: RunConfig) -> tuple[list[ObservationSeries], list[dict], dict]:
+def _load_series(args: argparse.Namespace) -> tuple[list[ObservationSeries], list[dict], dict]:
     """Every (release, dataset kind) series of the configured world, in
     (product, version, kind) order, plus the skipped pairs (logged) and
     the output metadata."""
-    if not cfg.corpus or not cfg.releases:
+    if not args.corpus or not args.releases:
         raise ValueError("both --corpus and --releases are required for this command")
     started = time.perf_counter()
-    corpus = import_corpus(cfg.corpus)
-    releases = import_releases(cfg.releases)
-    if cfg.as_of:
-        as_of = iso_date(cfg.as_of)
+    corpus = import_corpus(args.corpus)
+    releases = import_releases(args.releases)
+    if args.as_of:
+        as_of = iso_date(args.as_of)
     else:
         if len(corpus) == 0:
             raise ValueError("empty corpus and no --as-of given")
         as_of = max(r.published for r in corpus)
-    kinds = [DatasetKind(d) for d in cfg.datasets]
+    kinds = [DatasetKind(d) for d in args.datasets]
     loaded = time.perf_counter()
 
     series_list: list[ObservationSeries] = []
@@ -306,7 +299,7 @@ def _load_series(cfg: RunConfig) -> tuple[list[ObservationSeries], list[dict], d
     )
     for failure in failures:
         log.warning("skipping %(product)s %(version)s %(dataset)s: %(error)s", failure)
-    return series_list, failures, _metadata(cfg.settings | {"as_of": as_of.isoformat()})
+    return series_list, failures, _metadata(args, as_of=as_of.isoformat())
 
 
 def _track_job(payload: tuple[ObservationSeries, str, int, int]):
@@ -331,17 +324,17 @@ def _run_jobs(func, payloads: Sequence, workers: int) -> list:
         return list(pool.map(func, payloads))
 
 
-def _fit_curves(cfg: RunConfig, start_msr: int | None) -> tuple[list, list[dict], dict]:
+def _fit_curves(args: argparse.Namespace, start_msr: int | None) -> tuple[list, list[dict], dict]:
     """Every (series, model) curve in (product, version, dataset, model)
     order with its (msr, FitResult | None) months from ``start_msr`` on
     (None: the last month), plus the skipped series and the metadata.
     Equal curves (points, model, first month, multistart) share one fit.
     Failed curves are logged, and keep their months without a result."""
-    series_list, skipped, meta = _load_series(cfg)
+    series_list, skipped, meta = _load_series(args)
     payloads = [
-        (s, m, s.last_msr if start_msr is None else start_msr, cfg.multistart)
+        (s, m, s.last_msr if start_msr is None else start_msr, args.multistart)
         for s in sorted(series_list, key=ObservationSeries.key)
-        for m in cfg.models
+        for m in args.models
     ]
     # a FitResult holds no curve identity, so equal curves can share one
     jobs: dict[tuple, tuple] = {}
@@ -349,7 +342,7 @@ def _fit_curves(cfg: RunConfig, start_msr: int | None) -> tuple[list, list[dict]
         jobs.setdefault((payload[0].points,) + payload[1:], payload)
     log.info("%d curves, %d distinct fits", len(payloads), len(jobs))
     started = time.perf_counter()
-    results = dict(zip(jobs, _run_jobs(_track_job, list(jobs.values()), cfg.workers)))
+    results = dict(zip(jobs, _run_jobs(_track_job, list(jobs.values()), args.workers)))
     log.info("%d distinct fits in %.3f s", len(jobs), time.perf_counter() - started)
     curves = []
     for series, model_id, first, multistart in payloads:
@@ -395,13 +388,13 @@ def _result_row(series: ObservationSeries, model_id: str, result: FitResult | No
     }
 
 
-def _fit_and_write(cfg: RunConfig, start_msr: int | None) -> tuple[list[dict], dict]:
+def _fit_and_write(args: argparse.Namespace, start_msr: int | None) -> tuple[list[dict], dict]:
     """Fit every curve from ``start_msr`` on (None: the last month), write
     fits.csv and fit_summary.json from each curve's last month (an error row
     where it has no result), and return every month's track rows and the metadata."""
-    curves, skipped, meta = _fit_curves(cfg, start_msr)
+    curves, skipped, meta = _fit_curves(args, start_msr)
     fit_rows, track_rows = [], []
-    summary = {m: dict.fromkeys([c.value for c in FitClass] + ["errors"], 0) for m in cfg.models}
+    summary = {m: dict.fromkeys([c.value for c in FitClass] + ["errors"], 0) for m in args.models}
     for series, model_id, months in curves:
         track_rows += (_result_row(series, model_id, r) | {"msr": msr} for msr, r in months)
         result = months[-1][1] if months else None
@@ -417,7 +410,7 @@ def _fit_and_write(cfg: RunConfig, start_msr: int | None) -> tuple[list[dict], d
             summary[model_id][result.classification.value] += 1
         fit_rows.append(row)
 
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     _write_csv(out / "fits.csv", FIT_FIELDS, fit_rows, meta)
     _write_json(
         out / "fit_summary.json",
@@ -427,14 +420,14 @@ def _fit_and_write(cfg: RunConfig, start_msr: int | None) -> tuple[list[dict], d
     return track_rows, meta
 
 
-def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
-    _fit_and_write(cfg, None)
+def cmd_fit(args: argparse.Namespace) -> int:
+    _fit_and_write(args, None)
     return 0
 
 
-def cmd_track(cfg: RunConfig, args: argparse.Namespace) -> int:
-    rows, meta = _fit_and_write(cfg, cfg.start_msr)
-    _write_csv(_out_dir(cfg) / "track.csv", TRACK_FIELDS, rows, meta)
+def cmd_track(args: argparse.Namespace) -> int:
+    rows, meta = _fit_and_write(args, args.start_msr)
+    _write_csv(_out_dir(args) / "track.csv", TRACK_FIELDS, rows, meta)
     return 0
 
 
@@ -467,9 +460,9 @@ def _fmt_weight(w: float) -> str:
 
 
 def _cmd_metric(
-    cfg: RunConfig, args: argparse.Namespace, which: str, weight_name: str, aggregate: Callable,
+    args: argparse.Namespace, which: str, weight_name: str, aggregate: Callable
 ) -> int:
-    meta, states = _read_rows(cfg, args.track, _STATE_COLUMNS, _track_state)
+    meta, states = _read_rows(args, args.track, _STATE_COLUMNS, _track_state)
     group_index = _CURVE_COLUMNS.index(args.group_by)
     # group -> curve -> msr -> state; months without a state are left out
     groups: dict[str, dict[tuple[str, ...], dict[int, FitClass]]] = {}
@@ -483,7 +476,7 @@ def _cmd_metric(
     if not groups:
         raise ValueError("no usable state sequences (is the track data empty?)")
 
-    weights = getattr(cfg, weight_name)
+    weights = getattr(args, weight_name)
     pooled: dict[str, list] = {}  # group -> its MetricSeries at each weight
     for group in sorted(groups):
         try:
@@ -491,7 +484,7 @@ def _cmd_metric(
         except EmptyStepError as exc:  # a group without points has none at any weight
             log.warning("%s: group %s skipped: %s", which, group, exc)
 
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     summary: dict[str, dict] = {}
     for i, w in enumerate(weights):
         name = _fmt_weight(w)
@@ -514,12 +507,12 @@ def _cmd_metric(
 
 
 # the aggregate is looked up per call, so a wrapper bound in its place is the one called
-def cmd_entropy(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _cmd_metric(cfg, args, "entropy", "beta", aggregate_entropy)
+def cmd_entropy(args: argparse.Namespace) -> int:
+    return _cmd_metric(args, "entropy", "beta", aggregate_entropy)
 
 
-def cmd_quality(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _cmd_metric(cfg, args, "quality", "omega", aggregate_quality)
+def cmd_quality(args: argparse.Namespace) -> int:
+    return _cmd_metric(args, "quality", "omega", aggregate_quality)
 
 
 def _metric_point(row: Mapping[str, object]) -> tuple[str, float]:
@@ -530,8 +523,8 @@ def _metric_point(row: Mapping[str, object]) -> tuple[str, float]:
     return str(row["group"]), value
 
 
-def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
-    meta, points = _read_rows(cfg, args.series, ("group", "value"), _metric_point)
+def cmd_compare(args: argparse.Namespace) -> int:
+    meta, points = _read_rows(args, args.series, ("group", "value"), _metric_point)
     groups: dict[str, list[float]] = {}
     for group, value in points:
         groups.setdefault(group, []).append(value)
@@ -578,7 +571,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     for line in lines:
         print(line)
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     _write_json(
         out / "compare.json",
         {
@@ -593,9 +586,9 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     from .simulate import NoiseSpec, corpus_records_from_series, generate
-    noise = NoiseSpec(NoiseKind(args.noise), args.magnitude, cfg.seed)
+    noise = NoiseSpec(NoiseKind(args.noise), args.magnitude, args.seed)
     series = generate(args.model, args.params, args.horizon, noise, product=args.product,
                       version=args.series_version, dataset_kind=DatasetKind(args.dataset))
     if args.emit_corpus:
@@ -603,11 +596,11 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
         release = Release(args.product, series.version, args.release_date)
         corpus = Corpus(corpus_records_from_series(series, release))
         as_of = msr_end(release.release_date, series.last_msr)
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     columns = ("product", "version", "dataset", "msr", "cumulative")
     # simulated counts are whole numbers
     rows = (dict(zip(columns, series.key() + (m, int(c)))) for m, c in series.points)
-    meta = _metadata(cfg.settings)
+    meta = _metadata(args)
     _write_csv(out / "series.csv", columns, rows, meta)
 
     if args.emit_corpus:
@@ -618,12 +611,12 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_import(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if not cfg.corpus:
+def cmd_import(args: argparse.Namespace) -> int:
+    if not args.corpus:
         raise ValueError("--corpus is required")
-    corpus = import_corpus(cfg.corpus)
-    releases = import_releases(cfg.releases) if cfg.releases else None
-    out = _out_dir(cfg)
+    corpus = import_corpus(args.corpus)
+    releases = import_releases(args.releases) if args.releases else None
+    out = _out_dir(args)
     export_corpus(corpus, out / "corpus.normalized.ndjson")
     counts = Counter(rec.kind for rec in corpus)
     payload = {
@@ -633,7 +626,7 @@ def cmd_import(cfg: RunConfig, args: argparse.Namespace) -> int:
     }
     if releases is not None:
         payload["releases"] = len(releases)
-    _write_json(out / "import_summary.json", payload, _metadata(cfg.settings))
+    _write_json(out / "import_summary.json", payload, _metadata(args))
     return 0
 
 
@@ -653,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"vdmfit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each command takes the flags it reads; a config file may set any RunConfig field
+    # each command takes the flags it reads; a config file may set any of _CONFIG_KEYS
     session = argparse.ArgumentParser(add_help=False)
     session.add_argument("--config", help="JSON config file; flags override its values")
     session.add_argument("--out", help="output directory (default: out)")
@@ -718,7 +711,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(build_config(args), args)
+        build_config(args)
+        return args.run(args)
     # bad input: ParseError, InsufficientDataError and DomainError are ValueErrors
     except (ValueError, OSError) as exc:
         log.error("%s", exc)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from vdmfit.cli import build_parser, main
+from vdmfit.cli import _CONFIG_KEYS, build_config, build_parser, main
 from vdmfit.datasets import DatasetKind
 from vdmfit.simulate import NoiseKind, NoiseSpec, generate
 
@@ -825,9 +825,13 @@ _NO_INPUTS = ("--corpus", "missing.ndjson", "--releases", "missing.json")
         (("import",), {}, "--corpus is required"),
         (("fit", *_NO_INPUTS, "--models", "LN,FOO"), {},
          "unknown model id 'FOO'; expected one of ('AML', 'AT', 'LN', 'LP', 'RE', 'RQ')"),
+        # a whole-number weight past float range reads as 1e400 does
+        (("entropy", "--track", "t.csv", "--config", "run.json"),
+         {"run.json": '{"beta": [1' + "0" * 400 + "]}"}, "beta weights must be finite and >= 1"),
     ],
     ids=["datasets-empty", "start-msr", "workers", "config-array", "config-key",
-         "no-inputs", "track-status", "track-all-error", "import-no-corpus", "unknown-model"],
+         "no-inputs", "track-status", "track-all-error", "import-no-corpus", "unknown-model",
+         "config-weight-overflow"],
 )
 def test_each_input_error_exits_1_with_its_error_line(tmp_path, caplog, monkeypatch,
                                                        argv, files, message):
@@ -1179,7 +1183,8 @@ def test_an_empty_window_is_skipped_with_its_reason(world, tmp_path, caplog):
 
 
 def test_fit_without_as_of_observes_up_to_the_latest_record(world, tmp_path, caplog):
-    latest = max(json.loads(line)["published"] for line in Path(world["corpus"]).open())
+    lines = Path(world["corpus"]).read_text().splitlines()
+    latest = max(json.loads(line)["published"] for line in lines)
     assert latest < world["as_of"]
     assert run_cli("fit", "--corpus", world["corpus"], "--releases", world["releases"],
                    "--datasets", "NVD", "--models", "LN", "--out", tmp_path / "fit") == 0
@@ -1199,7 +1204,7 @@ def test_fit_without_as_of_observes_up_to_the_latest_record(world, tmp_path, cap
 
 
 # the flags each subcommand reads besides its own; a config file may still
-# set every RunConfig field
+# set every config key, each the dest of one of these flags
 SESSION = ("--config", "--out")
 INPUTS = SESSION + ("--corpus", "--releases")
 CURVES = INPUTS + ("--as-of", "--datasets", "--models", "--multistart", "--workers")
@@ -1219,7 +1224,7 @@ FLAG_VALUES = {
     "--corpus": ("c.ndjson", "corpus", "c.ndjson"),
     "--releases": ("r.json", "releases", "r.json"),
     "--as-of": ("2009-01-31", "as_of", "2009-01-31"),
-    "--datasets": ("NVD,Bug", "datasets", ["NVD", "Bug"]),
+    "--datasets": ("NVD.Bug,NVD", "datasets", ["NVD.Bug", "NVD"]),
     "--models": ("AML,LN", "models", ["AML", "LN"]),
     "--multistart": ("2", "multistart", 2),
     "--workers": ("2", "workers", 2),
@@ -1251,6 +1256,29 @@ def test_each_command_takes_only_the_flags_it_reads(capsys):
             run_cli(command, *REQUIRED.get(command, ()), flag, FLAG_VALUES[flag][0])
         assert exc.value.code == 2, (command, flag)
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_each_config_key_sets_what_its_flag_sets(tmp_path):
+    # each config key is the dest of a flag: the test above parses each flag into its dest
+    assert {attr for _, attr, _ in FLAG_VALUES.values()} - {"config"} == set(_CONFIG_KEYS)
+    parser = build_parser()
+    config = tmp_path / "run.json"
+
+    def resolved(command, *argv):
+        args = parser.parse_args([command, *REQUIRED.get(command, ()), *argv])
+        build_config(args)
+        return vars(args)
+
+    for command, flags in COMMAND_FLAGS.items():
+        for flag in flags:
+            if flag == "--config":
+                continue
+            value, attr, parsed = FLAG_VALUES[flag]
+            config.write_text(json.dumps({attr: parsed}))
+            from_flag = resolved(command, flag, value)
+            assert from_flag[attr] != resolved(command)[attr], (command, flag)
+            from_config = resolved(command, "--config", str(config))
+            assert from_config == from_flag | {"config": str(config)}, (command, flag)
 
 
 # the settings each command's header records besides tool, dof_convention
