@@ -303,61 +303,24 @@ def _load_series(args: argparse.Namespace) -> tuple[list[ObservationSeries], lis
 
 
 def _track_job(payload: tuple[ObservationSeries, str, int, int]):
-    """Every fit the CLI makes: ``fit`` is the track of the last month."""
+    """Every fit the CLI makes: a curve's months, or the error text of its failure."""
     # bad data makes a fit raise a ValueError (InsufficientDataError, DomainError)
     # or numpy's LinAlgError; anything else is a bug and propagates
     from numpy.linalg import LinAlgError
-    series, model_id, start_msr, multistart = payload
     try:
-        return ("ok", rolling_gof(series, model_id, start_msr, multistart))
+        return rolling_gof(*payload)
     except (ValueError, LinAlgError) as exc:  # per-curve failures never abort a sweep
-        return ("error", str(exc))
+        return str(exc)
 
 
-def _run_jobs(func, payloads: Sequence, workers: int) -> list:
+def _run_jobs(payloads: Sequence, workers: int) -> list:
     # a process pool may fork all its workers at the first submit: start no more than the jobs
     workers = min(workers, len(payloads))
     if workers <= 1:
-        return [func(p) for p in payloads]
+        return [_track_job(p) for p in payloads]
     import concurrent.futures
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, payloads))
-
-
-def _fit_curves(args: argparse.Namespace, start_msr: int | None) -> tuple[list, list[dict], dict]:
-    """Every (series, model) curve in (product, version, dataset, model)
-    order with its (msr, FitResult | None) months from ``start_msr`` on
-    (None: the last month), plus the skipped series and the metadata.
-    Equal curves (points, model, first month, multistart) share one fit.
-    Failed curves are logged, and keep their months without a result."""
-    series_list, skipped, meta = _load_series(args)
-    payloads = [
-        (s, m, s.last_msr if start_msr is None else start_msr, args.multistart)
-        for s in sorted(series_list, key=ObservationSeries.key)
-        for m in args.models
-    ]
-    # a FitResult holds no curve identity, so equal curves can share one
-    jobs: dict[tuple, tuple] = {}
-    for payload in payloads:
-        jobs.setdefault((payload[0].points,) + payload[1:], payload)
-    log.info("%d curves, %d distinct fits", len(payloads), len(jobs))
-    started = time.perf_counter()
-    results = dict(zip(jobs, _run_jobs(_track_job, list(jobs.values()), args.workers)))
-    log.info("%d distinct fits in %.3f s", len(jobs), time.perf_counter() - started)
-    curves = []
-    for series, model_id, first, multistart in payloads:
-        status, months = results[(series.points, model_id, first, multistart)]
-        error = None
-        if status == "error":
-            error, months = months, [(m, None) for m in range(first, series.last_msr + 1)]
-        elif not months:
-            error = f"series ends at MSR {series.last_msr}, before MSR {first}"
-        elif months[-1][1] is None:
-            error = f"series of {len(series.points)} points too short for {model_id}"
-        if error is not None:
-            log.warning("fit failed for %s %s %s %s: %s", *series.key(), model_id, error)
-        curves.append((series, model_id, months))
-    return curves, skipped, meta
+        return list(pool.map(_track_job, payloads))
 
 
 # the columns that name a curve, first in every fits.csv and track.csv row
@@ -389,13 +352,39 @@ def _result_row(series: ObservationSeries, model_id: str, result: FitResult | No
 
 
 def _fit_and_write(args: argparse.Namespace, start_msr: int | None) -> tuple[list[dict], dict]:
-    """Fit every curve from ``start_msr`` on (None: the last month), write
-    fits.csv and fit_summary.json from each curve's last month (an error row
-    where it has no result), and return every month's track rows and the metadata."""
-    curves, skipped, meta = _fit_curves(args, start_msr)
+    """Fit every (series, model) curve from ``start_msr`` on (None: the
+    last month); write fits.csv and fit_summary.json from each curve's
+    last month (an error row where it has no result) and return every
+    month's track rows and the metadata. Equal points and model share one
+    fit; a failed curve is logged once and keeps its months as error rows."""
+    series_list, skipped, meta = _load_series(args)
+    curves = [
+        (s, m, s.last_msr if start_msr is None else start_msr)
+        for s in sorted(series_list, key=ObservationSeries.key)
+        for m in args.models
+    ]
+    # a FitResult holds no curve identity, and the points and the run fix the
+    # first month and multistart: curves of equal points and model share one fit
+    jobs: dict[tuple, tuple] = {}
+    for series, model_id, first in curves:
+        jobs.setdefault((series.points, model_id), (series, model_id, first, args.multistart))
+    log.info("%d curves, %d distinct fits", len(curves), len(jobs))
+    started = time.perf_counter()
+    results = dict(zip(jobs, _run_jobs(list(jobs.values()), args.workers)))
+    log.info("%d distinct fits in %.3f s", len(jobs), time.perf_counter() - started)
     fit_rows, track_rows = [], []
     summary = {m: dict.fromkeys([c.value for c in FitClass] + ["errors"], 0) for m in args.models}
-    for series, model_id, months in curves:
+    for series, model_id, first in curves:
+        months = results[series.points, model_id]
+        error = None
+        if isinstance(months, str):
+            error, months = months, [(m, None) for m in range(first, series.last_msr + 1)]
+        elif not months:
+            error = f"series ends at MSR {series.last_msr}, before MSR {first}"
+        elif months[-1][1] is None:
+            error = f"series of {len(series.points)} points too short for {model_id}"
+        if error is not None:
+            log.warning("fit failed for %s %s %s %s: %s", *series.key(), model_id, error)
         track_rows += (_result_row(series, model_id, r) | {"msr": msr} for msr, r in months)
         result = months[-1][1] if months else None
         row = _result_row(series, model_id, result)

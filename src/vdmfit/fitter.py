@@ -94,8 +94,7 @@ def initial_guesses(
     if multistart < 1:
         raise ValueError("multistart must be >= 1")
     mspec = models.spec(model_id)
-    _, y = _series_arrays(series)
-    ymax = max(float(y.max(initial=0.0)), 1.0)
+    ymax = max(max(series.counts), 1.0)
     grids = {
         "asym": np.linspace(ymax, 3.0 * ymax, multistart),
         "rate": np.logspace(-3.0, 0.0, multistart),
@@ -139,7 +138,6 @@ def _levenberg_marquardt(
         grad = jac.T @ r
         jtj = jac.T @ jac
 
-        accepted = False
         while damping <= _DAMPING_MAX:
             try:
                 step = np.linalg.solve(jtj + damping * eye, grad)
@@ -150,10 +148,9 @@ def _levenberg_marquardt(
             new_state = trial(candidate)
             sse_new = new_state[1]  # inf where the curve is not evaluable
             if sse_new <= sse:
-                accepted = True
                 break
             damping *= _DAMPING_FACTOR
-        if not accepted:
+        else:  # no damping gives a step that keeps the SSE
             break
 
         improvement = sse - sse_new
@@ -175,9 +172,9 @@ def _projection(
 
     ``trial(z)`` is the residuals, the SSE, the full parameter vector with
     the solved parameters at their clipped least-squares values, and the
-    basis, one row per solved parameter; (None, inf, the solved
-    parameters at their floor, ()) when the curve is not evaluable at z
-    or the SSE is not finite.
+    basis (the one-amplitude row's curve at unit amplitude; () for AML and
+    the linear rows); (None, inf, the solved parameters at their floor,
+    ()) when the curve is not evaluable at z or the SSE is not finite.
     """
     ones = np.ones(n_solved)
 
@@ -187,12 +184,10 @@ def _projection(
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 if n_solved == 1:
-                    # the basis of one amplitude is the curve at unit amplitude
                     (phi,) = basis = models.evaluate(model_id, x, t)[None]
                     x[0] = min(max((phi @ y) / (phi @ phi), lo[0]), hi[0])
-                elif n_solved:
-                    basis = models.gradient(model_id, x, t)[:, :n_solved].T.copy()
-                    coef = np.linalg.lstsq(basis.T, y, rcond=None)[0]
+                elif n_solved:  # every parameter is solved: z is empty, no jacobian runs
+                    coef = np.linalg.lstsq(models.gradient(model_id, x, t), y, rcond=None)[0]
                     x[:n_solved] = np.clip(coef, lo[:n_solved], hi[:n_solved])
                 # one amplitude times its basis is bitwise the curve
                 curve = x[0] * basis[0] if n_solved == 1 else models.evaluate(model_id, x, t)
@@ -243,14 +238,9 @@ def fit(
     lo, hi = map(np.array, zip(*mspec.domain))  # the row's box, one bound per parameter
     n = mspec.param_count - len(mspec.launch)
     trial, jacobian = _projection(model_id, n, t, y, lo, hi)
-
-    best = None
-    for z0 in launches:
-        sse, conv, iters, state = _levenberg_marquardt(trial, jacobian, z0, lo[n:], hi[n:])
-        # a trial reports a non-finite SSE as inf, so keys always order
-        key = (sse, tuple(state[2]))
-        if best is None or key < best[0]:
-            best = (key, conv, iters)
-
-    (sse, x), conv, iters = best
-    return FitOutcome(ParamVector(model_id, x), sse, conv, iters)
+    # a trial reports a non-finite SSE as inf, so keys always order; min keeps the first tie
+    sse, conv, iters, state = min(
+        (_levenberg_marquardt(trial, jacobian, z0, lo[n:], hi[n:]) for z0 in launches),
+        key=lambda run: (run[0], tuple(run[3][2])),
+    )
+    return FitOutcome(ParamVector(model_id, state[2]), sse, conv, iters)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import FitClass, models, stats
 from .datasets import ObservationSeries
-from .fitter import FitOutcome, InsufficientDataError
+from .fitter import FitOutcome, InsufficientDataError, _series_arrays
 
 __all__ = [
     "FitClass",
@@ -79,8 +79,7 @@ def test_fit(series: ObservationSeries, outcome: FitOutcome) -> FitResult:
     dof = n - len(params.values)
     if dof < 1:
         raise InsufficientDataError(f"need more than {len(params.values)} points, got {n}")
-    t = np.array(series.months, dtype=float)
-    observed = np.array(series.counts, dtype=float)
+    t, observed = _series_arrays(series)
     try:
         expected = models.evaluate(params.model_id, params.values, t)
         chi2 = chi_square_statistic(observed, expected)

@@ -1079,6 +1079,24 @@ def test_workers_flag_gives_identical_output(world, tmp_path):
                 (tmp_path / f"w{workers}" / name).read_bytes(), (workers, name)
 
 
+def test_a_failed_fit_sends_its_error_text_across_the_process_pool():
+    import vdmfit.cli as cli
+    from vdmfit.datasets import ObservationSeries
+    from vdmfit.metrics import rolling_gof
+
+    def payload(model_id, count):
+        points = tuple((m, count(m)) for m in range(1, 9))
+        return ObservationSeries("p", "1", DatasetKind.NVD, points), model_id, 1, 2
+
+    # AT's SSE overflows on counts of 1e300 per month, so its fit ends in
+    # non-finite parameters; LN fits 2m + 1 from its third month on
+    ln = payload("LN", lambda m: 2.0 * m + 1.0)
+    expected = ["non-finite parameter values (-inf, -inf)", rolling_gof(*ln)]
+    assert [r is not None for _, r in expected[1]] == [False, False] + [True] * 6
+    for workers in (1, 2):
+        assert cli._run_jobs([payload("AT", lambda m: 1e300 * m), ln], workers) == expected
+
+
 def test_workers_start_no_more_processes_than_distinct_fits(world, tmp_path, monkeypatch):
     pools = []
 
