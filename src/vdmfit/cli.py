@@ -9,10 +9,10 @@ the dof convention, every setting the command's parser defines but file
 locations and ``--workers``, and ``config_hash``, the hash of those
 settings.
 
-``fit`` is the track of the last month: both write fits.csv from one
-curve loop and one row builder, and equal curves are fitted once per
-run. The metric commands carry ``as_of``, ``start_msr`` and
-``config_hash`` over from the file they read.
+``fit`` is the track of the last month: both files share one row builder
+and one column list, a fits.csv row is its curve's last track row, and
+equal curves are fitted once per run. The metric commands carry
+``as_of``, ``start_msr`` and ``config_hash`` over from the file they read.
 """
 
 from __future__ import annotations
@@ -323,23 +323,25 @@ def _run_jobs(payloads: Sequence, workers: int) -> list:
         return list(pool.map(_track_job, payloads))
 
 
-# the columns that name a curve, first in every fits.csv and track.csv row
+# the columns of every fits.csv and track.csv row: those that name its curve, then its fit
 _CURVE_COLUMNS = ("product", "version", "dataset", "model")
-FIT_FIELDS = _CURVE_COLUMNS + (
-    "status", "converged", "sse", "param_names", "params", "chi2", "dof", "p_value",
-    "classification", "valid",
-)
-TRACK_FIELDS = _CURVE_COLUMNS + (
+ROW_FIELDS = _CURVE_COLUMNS + (
     "msr", "status", "classification", "p_value", "chi2", "valid", "converged", "sse",
+    "param_names", "params", "dof",
 )
 
 
-def _result_row(series: ObservationSeries, model_id: str, result: FitResult | None) -> dict:
-    """The curve and result columns of a fits.csv or track.csv row; a
-    month without a result is an error row whose other columns are empty."""
-    row = dict(zip(_CURVE_COLUMNS, series.key() + (model_id,)))
+def _result_row(
+    series: ObservationSeries, model_id: str, msr: int | None, result: FitResult | None
+) -> dict:
+    """A fits.csv or track.csv row: a curve's fit at MSR ``msr``, its
+    parameters included, so the month's curve reads back without a refit.
+    A month without a result is an error row whose result columns are
+    empty; a curve without a month, one whose ``msr`` is empty too."""
+    row = dict(zip(_CURVE_COLUMNS, series.key() + (model_id,)), msr=msr)
     if result is None:
         return row | {"status": "error"}
+    params = result.outcome.params
     return row | {
         "status": "ok",
         "classification": result.classification.value,
@@ -348,15 +350,19 @@ def _result_row(series: ObservationSeries, model_id: str, result: FitResult | No
         "valid": result.valid,
         "converged": result.outcome.converged,
         "sse": repr(result.outcome.sse),
+        "param_names": ";".join(params.as_dict()),
+        "params": ";".join(repr(v) for v in params.values),
+        "dof": result.dof,
     }
 
 
 def _fit_and_write(args: argparse.Namespace, start_msr: int | None) -> tuple[list[dict], dict]:
     """Fit every (series, model) curve from ``start_msr`` on (None: the
-    last month); write fits.csv and fit_summary.json from each curve's
-    last month (an error row where it has no result) and return every
-    month's track rows and the metadata. Equal points and model share one
-    fit; a failed curve is logged once and keeps its months as error rows."""
+    last month); write fits.csv, each curve's last track row (a curve
+    without a month: an error row), and fit_summary.json, the counts of
+    those rows' classifications and errors; return every month's track
+    rows and the metadata. Equal points and model share one fit; a failed
+    curve is logged once and keeps its months as error rows."""
     series_list, skipped, meta = _load_series(args)
     curves = [
         (s, m, s.last_msr if start_msr is None else start_msr)
@@ -385,22 +391,14 @@ def _fit_and_write(args: argparse.Namespace, start_msr: int | None) -> tuple[lis
             error = f"series of {len(series.points)} points too short for {model_id}"
         if error is not None:
             log.warning("fit failed for %s %s %s %s: %s", *series.key(), model_id, error)
-        track_rows += (_result_row(series, model_id, r) | {"msr": msr} for msr, r in months)
-        result = months[-1][1] if months else None
-        row = _result_row(series, model_id, result)
-        if result is None:
-            summary[model_id]["errors"] += 1
-        else:
-            row.update(
-                param_names=";".join(result.outcome.params.as_dict()),
-                params=";".join(repr(v) for v in result.outcome.params.values),
-                dof=result.dof,
-            )
-            summary[model_id][result.classification.value] += 1
+        rows = [_result_row(series, model_id, msr, r) for msr, r in months]
+        track_rows += rows
+        row = rows[-1] if rows else _result_row(series, model_id, None, None)
         fit_rows.append(row)
+        summary[model_id][row.get("classification", "errors")] += 1
 
     out = _out_dir(args)
-    _write_csv(out / "fits.csv", FIT_FIELDS, fit_rows, meta)
+    _write_csv(out / "fits.csv", ROW_FIELDS, fit_rows, meta)
     _write_json(
         out / "fit_summary.json",
         {"classification_counts_by_model": summary, "skipped_series": skipped},
@@ -416,7 +414,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_track(args: argparse.Namespace) -> int:
     rows, meta = _fit_and_write(args, args.start_msr)
-    _write_csv(_out_dir(args) / "track.csv", TRACK_FIELDS, rows, meta)
+    _write_csv(_out_dir(args) / "track.csv", ROW_FIELDS, rows, meta)
     return 0
 
 

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from vdmfit import MODEL_IDS
 from vdmfit.cli import _CONFIG_KEYS, build_config, build_parser, main
 from vdmfit.datasets import DatasetKind
+from vdmfit.models import evaluate, spec
 from vdmfit.simulate import NoiseKind, NoiseSpec, generate
 
 
@@ -320,7 +322,10 @@ def test_fits_are_the_last_month_of_the_track(world, tmp_path, workers):
         assert sorted(track_meta) == sorted([*fit_meta, "start_msr"])
         assert {k for k in fit_meta if fit_meta[k] != track_meta[k]} == {"config_hash"}
         assert str(track_meta["start_msr"]) == "22"
-    columns = ("classification", "p_value", "chi2", "valid", "converged", "sse")
+    # one schema: a fits.csv row is its curve's whole track row at the last month
+    fits_data = _meta_and_data(tmp_path / "fit" / "fits.csv")[1]
+    track_data = _meta_and_data(tmp_path / "track" / "track.csv")[1]
+    assert fits_data[0] == track_data[0]
     fits = read_csv(tmp_path / "fit" / "fits.csv")
     last = {
         (r["version"], r["dataset"], r["model"]): r
@@ -330,8 +335,24 @@ def test_fits_are_the_last_month_of_the_track(world, tmp_path, workers):
     assert len(fits) == len(last) == 12
     for row in fits:
         assert row["status"] == "ok"
-        tracked = last[(row["version"], row["dataset"], row["model"])]
-        assert [row[c] for c in columns] == [tracked[c] for c in columns]
+        assert row == last[(row["version"], row["dataset"], row["model"])]
+
+
+def test_each_track_row_carries_the_fit_that_scored_it(world, tmp_path):
+    # a row's params give its month's curve back: their SSE over the months
+    # up to the row's MSR is the row's sse, with the model's names and dof
+    assert run_cli("track", "--corpus", world["corpus"], "--releases", world["releases"],
+                   "--as-of", world["as_of"], "--out", tmp_path) == 0
+    counts = {int(r["msr"]): float(r["cumulative"]) for r in read_csv(world["root"] / "series.csv")}
+    rows = [r for r in read_csv(tmp_path / "track.csv") if r["status"] == "ok"]
+    assert {r["model"] for r in rows} == set(MODEL_IDS)
+    for row in rows:
+        params = [float(v) for v in row["params"].split(";")]
+        months = [m for m in counts if m <= int(row["msr"])]
+        sse = sum((counts[m] - evaluate(row["model"], params, m)) ** 2 for m in months)
+        assert sse == pytest.approx(float(row["sse"]), rel=1e-9, abs=0.0), row
+        assert tuple(row["param_names"].split(";")) == spec(row["model"]).param_names
+        assert int(row["dof"]) == len(months) - len(params)
 
 
 def test_a_curve_the_track_never_reaches_is_an_error_row_of_fits(world, tmp_path, caplog):
@@ -344,7 +365,7 @@ def test_a_curve_the_track_never_reaches_is_an_error_row_of_fits(world, tmp_path
     assert [(r["dataset"], r["model"], r["status"]) for r in rows] == [
         (kind, model, "error") for kind in ("NVD", "NVD.Bug") for model in ("LN", "RE")
     ]
-    assert all(r["classification"] == r["params"] == r["sse"] == "" for r in rows)
+    assert all(r["classification"] == r["params"] == r["sse"] == r["msr"] == "" for r in rows)
     counts = read_json(tmp_path / "fit_summary.json")["classification_counts_by_model"]
     assert counts == {
         model: {"GoodFit": 0, "Inconclusive": 0, "NotFit": 0, "errors": 2} for model in ("LN", "RE")
@@ -1430,13 +1451,14 @@ def test_verdicts_and_metrics_do_not_depend_on_the_cpu_kernels(tmp_path):
                      ("compare", "--series", out / "entropy_beta1.csv", "--out", out / "entropy"),
                      ("compare", "--series", out / "quality_omega1.csv", "--out", out / "quality")):
             assert run_cli(*argv) == 0
-    verdicts = {"fits.csv": ("status", "classification", "valid", "dof"),
-                "track.csv": ("status", "classification", "valid")}
+    # both files share one schema, so one column tuple holds their verdicts
+    verdicts = ("status", "classification", "valid", "dof")
 
     def outputs(out):
         files = {p.relative_to(out).as_posix(): p for p in out.rglob("*") if p.is_file()}
-        return {name: [[row[c] for c in verdicts[name]] for row in read_csv(path)]
-                if name in verdicts else path.read_bytes() for name, path in files.items()}
+        return {name: [[row[c] for c in verdicts] for row in read_csv(path)]
+                if name in ("fits.csv", "track.csv") else path.read_bytes()
+                for name, path in files.items()}
 
     default = outputs(sets[0])
     assert len(default) == 11 and len(default["track.csv"]) == 6 * 5 * 13

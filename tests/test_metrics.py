@@ -275,7 +275,7 @@ def test_states_from_results_maps_invalid_to_notfit():
 
     def states(series, results):
         rows = [
-            {k: str(v) for k, v in (_result_row(series, "LN", res) | {"msr": m}).items()}
+            {k: str(v) for k, v in _result_row(series, "LN", m, res).items()}
             for m, res in results
         ]
         parsed = [_track_state(row) for row in rows]
